@@ -165,6 +165,15 @@ fn audit_replica(
     universe: usize,
 ) {
     let keys = r.keys();
+    // Unit frames are checked structurally first: a bad frame width
+    // would send every decode below out of bounds.
+    report.tick();
+    if let Err((pos, msg)) = r.check_unit_frames() {
+        report.fail("codec.unit_frame", coords(predicate, order, pos), msg);
+        return;
+    }
+    // Synthesized as the identity for a unit replica, so the CSR checks
+    // below apply to every layout.
     let offsets = r.offsets();
     // Decodes when the replica is block-compressed (borrow when raw), so
     // every CSR check below audits the *logical* content either way.
@@ -238,10 +247,40 @@ fn audit_replica(
         }
     }
 
-    // Block codec integrity: on a compressed replica, every packed
-    // group must decode to exactly the raw group and answer membership
-    // probes for its own boundary values (first, last, block edges).
-    if r.is_compressed() {
+    // Unit layout: every key owns exactly one value, and a frame's bulk
+    // decode agrees with positional reads of the same values.
+    if r.is_unit() {
+        report.tick();
+        for (pos, &value) in values.iter().enumerate() {
+            let group = r.group_at(pos);
+            if r.group_len(pos) != 1 || group.len() != 1 {
+                report.fail(
+                    "csr.unit_shape",
+                    coords(predicate, order, pos),
+                    format!("unit replica key {pos} has {} values", group.len()),
+                );
+                break;
+            }
+            if group.first() != Some(value) {
+                report.fail(
+                    "codec.unit_frame_roundtrip",
+                    coords(predicate, order, pos),
+                    format!(
+                        "frame {} decodes {} for key {pos}, a positional read gives {:?}",
+                        pos / parj_store::BLOCK_LEN,
+                        value,
+                        group.first()
+                    ),
+                );
+                break;
+            }
+        }
+    }
+
+    // Block codec integrity: on a packed run replica, every group must
+    // decode to exactly the raw group and answer membership probes for
+    // its own boundary values (first, last, block edges).
+    if r.is_compressed() && !r.is_unit() {
         report.tick();
         'packed: for g in 0..r.num_keys() {
             let expect = &values[offsets[g] as usize..offsets[g + 1] as usize];
@@ -797,6 +836,41 @@ mod tests {
     fn empty_store_audits_clean() {
         let s = StoreBuilder::new().build();
         assert!(audit_all(&s).is_clean());
+    }
+
+    #[test]
+    fn corrupt_unit_frame_width_is_reported_not_panicked() {
+        // A unit replica (one value per key) packs into frames; a frame
+        // whose width no longer matches its bytes must be reported with
+        // the key position where the frame starts, never panic.
+        let mut b = parj_store::ReplicaBuilder::new();
+        for k in 0..400u32 {
+            b.push(k, (k * 37) % 1000);
+        }
+        let clean = {
+            let mut r = b.finish();
+            assert!(r.compress(1) && r.is_unit());
+            r
+        };
+        let mut report = AuditReport::default();
+        audit_replica(&mut report, 0, SortOrder::SO, &clean, 1000);
+        assert!(report.is_clean(), "{report}");
+        for frame in [0usize, 1, 3] {
+            for width in [0u8, 1, 9, 11, 31, 32, 33, 255] {
+                let mut bad = clean.clone();
+                assert!(bad.corrupt_unit_frame_width(frame, width));
+                if bad == clean {
+                    continue; // the frame already had this width
+                }
+                let mut report = AuditReport::default();
+                audit_replica(&mut report, 7, SortOrder::OS, &bad, 1000);
+                let v = report.violations.first().unwrap_or_else(|| {
+                    panic!("frame {frame} width {width} passed the audit")
+                });
+                assert_eq!(v.check, "codec.unit_frame", "{v}");
+                assert_eq!(v.at, coords(7, SortOrder::OS, frame * parj_store::BLOCK_LEN), "{v}");
+            }
+        }
     }
 
     #[test]

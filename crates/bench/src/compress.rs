@@ -7,10 +7,12 @@
 //! changing a single answered row. Three phases:
 //!
 //! 1. **Bytes per triple.** Build the LUBM base once, snapshot the
-//!    value-store and total partition footprint, compress in place,
-//!    snapshot again. The run *asserts* the value-store shrinks by at
-//!    least 2× — the codec's reason to exist — so a format regression
-//!    fails the bench instead of silently shipping a fatter store.
+//!    value-store and total footprint, compress in place, snapshot
+//!    again, split by replica layout (unit replicas with one value per
+//!    key, run replicas otherwise). The run *asserts* the value-store
+//!    shrinks by at least 2× — the codec's reason to exist — so a
+//!    format regression fails the bench instead of silently shipping a
+//!    fatter store.
 //! 2. **Probe throughput.** The full LUBM query mix over two engines
 //!    holding identical data (raw vs compressed replicas), single- and
 //!    multi-thread, reporting ms per query and aggregate rows/s.
@@ -40,26 +42,62 @@ fn lubm_store(universities: usize) -> parj_core::TripleStore {
     })
 }
 
-/// Value-store bytes summed over every replica of `store`.
-fn value_bytes(store: &parj_core::TripleStore) -> usize {
-    store
-        .partitions()
-        .iter()
-        .flat_map(|p| {
-            [parj_core::SortOrder::SO, parj_core::SortOrder::OS]
-                .map(|o| p.replica(o).value_bytes())
-        })
-        .sum()
-}
-
-/// Compressed-replica count across `store`.
-fn compressed_replicas(store: &parj_core::TripleStore) -> usize {
+/// Every replica of `store`.
+fn replicas(store: &parj_core::TripleStore) -> impl Iterator<Item = &parj_store::Replica> {
     store
         .partitions()
         .iter()
         .flat_map(|p| [parj_core::SortOrder::SO, parj_core::SortOrder::OS].map(|o| p.replica(o)))
-        .filter(|r| r.is_compressed())
-        .count()
+}
+
+/// Value-store bytes summed over every replica of `store`.
+fn value_bytes(store: &parj_core::TripleStore) -> usize {
+    replicas(store).map(|r| r.value_bytes()).sum()
+}
+
+/// Compressed-replica count across `store`.
+fn compressed_replicas(store: &parj_core::TripleStore) -> usize {
+    replicas(store).filter(|r| r.is_compressed()).count()
+}
+
+/// Replicas, stored values and value-store bytes of one layout.
+#[derive(Debug, Default, Clone, Copy)]
+struct LayoutShare {
+    replicas: usize,
+    values: usize,
+    bytes: usize,
+}
+
+impl LayoutShare {
+    fn bytes_per_value(&self) -> f64 {
+        self.bytes as f64 / self.values.max(1) as f64
+    }
+}
+
+/// The value store split by layout: `(unit, run)`.
+fn layout_split(store: &parj_core::TripleStore) -> (LayoutShare, LayoutShare) {
+    let (mut unit, mut run) = (LayoutShare::default(), LayoutShare::default());
+    for r in replicas(store).filter(|r| !r.is_empty()) {
+        let share = if r.is_unit() { &mut unit } else { &mut run };
+        share.replicas += 1;
+        share.values += r.num_triples();
+        share.bytes += r.value_bytes();
+    }
+    (unit, run)
+}
+
+/// The commit the bench ran on, or `unavailable` outside a git checkout.
+fn git_sha() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unavailable".to_string())
 }
 
 /// Block-compression bench: bytes-per-triple before/after plus probe
@@ -67,13 +105,18 @@ fn compressed_replicas(store: &parj_core::TripleStore) -> usize {
 pub fn compress(args: &Args) -> (Vec<Table>, serde_json::Value) {
     // Phase 1 — memory, measured on one store compressed in place so
     // "before" and "after" hold byte-for-byte the same triples.
+    let sha = git_sha();
     let mut store = lubm_store(args.scale);
     let triples = store.num_triples();
     let raw_value_bytes = value_bytes(&store);
     let raw_total_bytes = store.partitions_memory_bytes();
+    let raw_all_bytes = store.total_memory_bytes();
+    let (raw_unit, raw_run) = layout_split(&store);
     let compressed = store.compress_values(MIN_VALUES);
     let packed_value_bytes = value_bytes(&store);
     let packed_total_bytes = store.partitions_memory_bytes();
+    let packed_all_bytes = store.total_memory_bytes();
+    let (packed_unit, packed_run) = layout_split(&store);
     assert!(compressed > 0, "no replica crossed the {MIN_VALUES}-value threshold");
     assert_eq!(compressed, compressed_replicas(&store));
 
@@ -91,14 +134,40 @@ pub fn compress(args: &Args) -> (Vec<Table>, serde_json::Value) {
 
     let mut mem = Table::new(
         format!(
-            "Value-run block compression — LUBM U={} ({} triples), \
-             FOR + bitpacked deltas, {}-value blocks",
+            "Replica value compression — LUBM U={} ({} triples), \
+             FOR unit frames + bitpacked run deltas, {}-value blocks, at {sha}",
             args.scale,
             triples,
             parj_store::BLOCK_LEN
         ),
         &["raw", "compressed", "ratio"],
     );
+    let unit_share = raw_unit.values as f64 / (raw_unit.values + raw_run.values).max(1) as f64;
+    for (label, raw, packed) in [
+        (
+            format!(
+                "unit replicas: value bytes/value ({} replicas, {:.0}% of values)",
+                raw_unit.replicas,
+                unit_share * 100.0
+            ),
+            raw_unit,
+            packed_unit,
+        ),
+        (
+            format!("run replicas: value bytes/value ({} replicas)", raw_run.replicas),
+            raw_run,
+            packed_run,
+        ),
+    ] {
+        mem.row(
+            label,
+            vec![
+                format!("{:.2}", raw.bytes_per_value()),
+                format!("{:.2}", packed.bytes_per_value()),
+                format!("{:.2}x", raw.bytes as f64 / packed.bytes.max(1) as f64),
+            ],
+        );
+    }
     mem.row(
         "value-store bytes/triple",
         vec![
@@ -113,6 +182,14 @@ pub fn compress(args: &Args) -> (Vec<Table>, serde_json::Value) {
             format!("{:.2}", raw_total_bytes as f64 / triples as f64),
             format!("{:.2}", packed_total_bytes as f64 / triples as f64),
             format!("{total_ratio:.2}x"),
+        ],
+    );
+    mem.row(
+        "total bytes/triple (with dictionary)",
+        vec![
+            format!("{:.2}", raw_all_bytes as f64 / triples as f64),
+            format!("{:.2}", packed_all_bytes as f64 / triples as f64),
+            format!("{:.2}x", raw_all_bytes as f64 / packed_all_bytes as f64),
         ],
     );
     mem.row(
@@ -235,6 +312,7 @@ pub fn compress(args: &Args) -> (Vec<Table>, serde_json::Value) {
         vec![mem, probe],
         json!({
             "experiment": "compress", "dataset": "lubm", "scale": args.scale,
+            "git_sha": sha,
             "triples": triples,
             "block_len": parj_store::BLOCK_LEN,
             "compress_min_values": MIN_VALUES,
@@ -246,8 +324,16 @@ pub fn compress(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 "packed_total_bytes": packed_total_bytes,
                 "raw_value_bytes_per_triple": raw_vpt,
                 "packed_value_bytes_per_triple": packed_vpt,
+                "raw_bytes_per_triple_with_dict": raw_all_bytes as f64 / triples as f64,
+                "packed_bytes_per_triple_with_dict": packed_all_bytes as f64 / triples as f64,
                 "value_compression_ratio": value_ratio,
                 "total_compression_ratio": total_ratio,
+                "unit_replicas": raw_unit.replicas,
+                "unit_values": raw_unit.values,
+                "unit_packed_value_bytes": packed_unit.bytes,
+                "run_replicas": raw_run.replicas,
+                "run_values": raw_run.values,
+                "run_packed_value_bytes": packed_run.bytes,
                 "compressed_replicas": compressed,
                 "bar": "value-store ratio >= 2.0 (asserted)",
             },

@@ -103,10 +103,12 @@ impl TripleStore {
             for order in [SortOrder::SO, SortOrder::OS] {
                 let (keys, offsets, values) = part.replica(order).raw_parts();
                 put_ids(&mut out, keys);
-                put_u32s(&mut out, offsets);
-                // `values` is Cow: borrowed when raw, decoded when the
-                // replica is block-compressed — snapshot bytes stay
-                // representation-independent (format v1 unchanged).
+                put_u32s(&mut out, &offsets);
+                // Both are Cow: borrowed when raw, decoded when the
+                // replica is block-compressed, and the identity offsets
+                // synthesized for a unit replica — snapshot bytes stay
+                // layout-independent (format v1 unchanged; load derives
+                // the layout again).
                 put_ids(&mut out, &values);
             }
         }

@@ -535,3 +535,92 @@ fn compressed_delta_rows_identical_to_uncompressed_across_combos() {
         assert_all_combos_match(&mut packed_compacted, &q.sparql, &q.name, &baseline);
     }
 }
+
+#[test]
+fn unit_layout_flips_under_mutation_match_fresh_load() {
+    // The replica layout as one more axis of the compressed ×
+    // delta-resident grid. `memberOf` has one object per subject, so
+    // its S-O replica is a unit replica (no offsets; unit frames when
+    // packed). One subject gaining a second department turns it into a
+    // run replica at compaction; deleting that triple makes it unit
+    // again. In every state, every engine — raw or packed, resident or
+    // compacted — must return rows byte-identical to a fresh load of
+    // the same triples.
+    let base = lubm_store();
+    let member_of = parj::Term::iri("http://lubm/memberOf");
+    let p = base.dict().predicate_id(&member_of).expect("memberOf present");
+    let so = base.replica(p, parj::SortOrder::SO).expect("memberOf partition");
+    assert!(so.is_unit(), "memberOf S-O starts as a unit replica");
+    let os = base.replica(p, parj::SortOrder::OS).expect("memberOf partition");
+    let (s, d0) = (so.key_at(0), so.group_at(0).first().expect("one value"));
+    let d1 = *os.keys().iter().find(|&&d| d != d0).expect("a second department");
+    let term = |id| base.dict().decode_resource(id).expect("resource decodes");
+    let extra = (term(s), member_of.clone(), term(d1));
+
+    // Store layer: compaction re-derives the layout from the shape.
+    let mut packed = lubm_store();
+    packed.compress_values(4);
+    let mut overlay = parj_store::DeltaOverlay::new(&packed);
+    for (ins, del, unit) in [(vec![(s, d1)], vec![], false), (vec![], vec![(s, d1)], true)] {
+        overlay.apply_pred(&packed, p, &ins, &del);
+        overlay.compact_pred(&packed, p);
+        let compacted = overlay.pred(p).and_then(|d| d.compacted()).expect("compacted");
+        let r = compacted.replica(parj::SortOrder::SO);
+        assert_eq!(r.is_unit(), unit, "layout after compaction");
+        assert!(r.is_compressed(), "compaction keeps the compression policy");
+        assert_eq!(r.check_invariants(), Ok(()));
+    }
+
+    let engine = |compress: bool, threshold: usize| {
+        Parj::from_store(
+            lubm_store(),
+            EngineConfig {
+                compress_replicas: compress,
+                compress_min_values: 4,
+                delta_compaction_threshold: threshold,
+                ..config(true)
+            },
+        )
+    };
+    let mut engines = [
+        ("raw resident", engine(false, 0)),
+        ("raw compacted", engine(false, 1)),
+        ("packed resident", engine(true, 0)),
+        ("packed compacted", engine(true, 1)),
+    ];
+    let dir = std::env::temp_dir().join(format!("parj-unit-flip-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut oracle = Parj::from_store(lubm_store(), config(true));
+    for insert in [true, false] {
+        let apply = |e: &mut Parj| {
+            let (s, p, o) = extra.clone();
+            let batch = if insert { e.mutate().insert(s, p, o) } else { e.mutate().delete(s, p, o) };
+            let out = batch.run().expect("mutation");
+            assert_eq!(out.inserted + out.deleted, 1);
+        };
+        for (_, e) in engines.iter_mut() {
+            apply(e);
+        }
+        apply(&mut oracle);
+        // Fresh load of the same triples: snapshot (which folds the
+        // oracle's delta) and reload.
+        let path = dir.join(format!("state-{insert}.parj"));
+        oracle.save_snapshot(&path).expect("snapshot");
+        let mut fresh = Parj::load_snapshot(&path, config(true)).expect("reload");
+        for q in lubm::queries() {
+            let baseline = fresh
+                .request(&q.sparql)
+                .threads(1)
+                .ids_only()
+                .run()
+                .expect("fresh load runs")
+                .ids
+                .expect("ids mode returns ids");
+            for (name, e) in engines.iter_mut() {
+                let label = format!("{} ({name}, inserted={insert})", q.name);
+                assert_all_combos_match(e, &q.sparql, &label, &baseline);
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
