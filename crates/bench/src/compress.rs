@@ -26,7 +26,7 @@ use parj_core::{EngineConfig, Parj};
 use parj_datagen::lubm;
 use serde_json::json;
 
-use crate::report::Table;
+use crate::report::{git_sha, Table};
 use crate::timing::measure_ms;
 use crate::Args;
 
@@ -84,20 +84,6 @@ fn layout_split(store: &parj_core::TripleStore) -> (LayoutShare, LayoutShare) {
         share.bytes += r.value_bytes();
     }
     (unit, run)
-}
-
-/// The commit the bench ran on, or `unavailable` outside a git checkout.
-fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .stderr(std::process::Stdio::null())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unavailable".to_string())
 }
 
 /// Block-compression bench: bytes-per-triple before/after plus probe

@@ -71,6 +71,20 @@ pub fn fmt_ms(ms: f64) -> String {
     }
 }
 
+/// The commit the bench ran on, or `unavailable` outside a git checkout.
+pub fn git_sha() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unavailable".to_string())
+}
+
 /// Writes `<out>/<name>.md` and `<out>/<name>.json`, then prints the
 /// Markdown to stdout.
 pub fn write_outputs(out_dir: &Path, name: &str, tables: &[Table], json: serde_json::Value) {

@@ -79,7 +79,8 @@ USAGE:
 
 FLAGS:
   --threads N      worker threads per query (default: all cores)
-  --morsel-size N  driver keys per work morsel pulled by each worker
+  --morsel-size N  upper bound on driver keys per work morsel; parallel
+                   runs derive a finer grid from the driver size
                    (default 16384; results are identical at any value)
   --no-pool        spawn fresh query threads instead of using the
                    engine's persistent worker pool

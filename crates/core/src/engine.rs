@@ -38,10 +38,11 @@ pub struct EngineConfig {
     /// store are byte-identical at any value; default:
     /// `available_parallelism`.
     pub load_threads: usize,
-    /// Driver keys per morsel (load-balancing granularity): workers
-    /// pull fixed-size morsels of the driver domain off a shared
-    /// cursor. Smaller morsels smooth skew at slightly higher cursor
-    /// traffic. Default: [`DEFAULT_MORSEL_SIZE`].
+    /// Upper bound on driver keys per morsel (load-balancing
+    /// granularity): workers pull morsels of the driver domain off a
+    /// shared cursor. A one-thread run is cut at exactly this size; a
+    /// parallel run derives a finer grid from its driver domain and
+    /// thread count. Default: [`DEFAULT_MORSEL_SIZE`].
     pub morsel_size: usize,
     /// Dispatch multi-threaded queries onto the engine-owned persistent
     /// [`WorkerPool`] instead of spawning scoped threads per query.
@@ -176,7 +177,8 @@ impl ParjBuilder {
         self
     }
 
-    /// Driver keys per morsel (see [`EngineConfig::morsel_size`]).
+    /// Upper bound on driver keys per morsel (see
+    /// [`EngineConfig::morsel_size`]).
     pub fn morsel_size(mut self, n: usize) -> Self {
         self.config.morsel_size = n.max(1);
         self
@@ -186,18 +188,6 @@ impl ParjBuilder {
     /// (see [`EngineConfig::use_pool`]).
     pub fn use_pool(mut self, on: bool) -> Self {
         self.config.use_pool = on;
-        self
-    }
-
-    /// Driver shards per thread (legacy knob). Static sharding was
-    /// replaced by morsel-driven dispatch; `n` shards per thread map
-    /// onto a morsel size of `DEFAULT_MORSEL_SIZE / n` (floored at 1).
-    #[deprecated(
-        since = "0.1.0",
-        note = "static sharding was replaced by morsel-driven dispatch; use `morsel_size`"
-    )]
-    pub fn shards_per_thread(mut self, n: usize) -> Self {
-        self.config.morsel_size = (DEFAULT_MORSEL_SIZE / n.max(1)).max(1);
         self
     }
 
@@ -330,7 +320,8 @@ impl ParjBuilder {
 pub struct RunOverrides {
     /// Override worker threads.
     pub threads: Option<usize>,
-    /// Override the driver morsel size (load-balancing granularity).
+    /// Override the upper bound on driver keys per morsel
+    /// (load-balancing granularity).
     pub morsel_size: Option<usize>,
     /// Override probe strategy.
     pub strategy: Option<ProbeStrategy>,
@@ -378,7 +369,7 @@ impl RunOverrides {
         self
     }
 
-    /// Sets the driver morsel size (chainable).
+    /// Sets the upper bound on driver keys per morsel (chainable).
     pub fn with_morsel_size(mut self, n: usize) -> Self {
         self.morsel_size = Some(n);
         self
@@ -1880,7 +1871,8 @@ impl Parj {
 
     /// Returns, per plan of the query, the **work units** (result rows
     /// emitted + array words touched) of every driver morsel the
-    /// executor would pull off the shared cursor.
+    /// executor would pull off the shared cursor — the grid a run with
+    /// `over`'s thread count and morsel cap actually cuts.
     ///
     /// Because PARJ workers share nothing and draw morsels dynamically,
     /// the parallel makespan with `K` threads on ideal hardware is
@@ -1903,30 +1895,20 @@ impl Parj {
         plans
             .iter()
             .map(|plan| {
+                // The thread count a real run would use: the grid
+                // depends on it.
+                let plan_opts =
+                    Self::opts_for_plan(&self.config, ready, &opts, over.threads.is_some(), plan);
                 parj_join::morsel_loads_view(
                     &ready.store,
                     ready.exec_delta().map(|d| d.as_ref()),
                     plan,
-                    &opts,
+                    &plan_opts,
                     &ready.thresholds,
                 )
                 .map_err(|e| ParjError::InvalidOptions(e.to_string()))
             })
             .collect()
-    }
-
-    /// Legacy name for [`Parj::morsel_loads`], kept for callers of the
-    /// static-sharding era. The returned chunks are now morsels.
-    #[deprecated(
-        since = "0.1.0",
-        note = "static sharding was replaced by morsel-driven dispatch; use `morsel_loads`"
-    )]
-    pub fn shard_loads(
-        &mut self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<Vec<Vec<u64>>, ParjError> {
-        self.morsel_loads(query, over)
     }
 
     /// Materialized execution returning dictionary ids (no term decode).
@@ -2027,6 +2009,7 @@ impl Parj {
                     rows: prof.rows,
                     step_search: prof.step_search,
                     driver: prof.driver,
+                    ..CapturedProfile::default()
                 }
             })
             .collect();
@@ -2047,18 +2030,22 @@ impl Parj {
             for (si, line) in plan.explain().lines().enumerate() {
                 match si.checked_sub(1).and_then(|probe| prof.step_search.get(probe)) {
                     None if si == 0 => {
-                        // Driver line.
+                        // Driver line, with the morsel grid that ran.
                         let fed = prof.rows.first().copied().unwrap_or(0);
+                        write!(out, "{line}   → {fed} rows").expect("write");
                         if prof.driver.group_probes > 0 {
-                            writeln!(
+                            write!(out, " ({} group checks)", prof.driver.group_probes)
+                                .expect("write");
+                        }
+                        if prof.morsels > 0 {
+                            write!(
                                 out,
-                                "{line}   → {fed} rows ({} group checks)",
-                                prof.driver.group_probes
+                                " · {} morsels × {} keys on {} participants",
+                                prof.morsels, prof.morsel_size, prof.participants
                             )
                             .expect("write");
-                        } else {
-                            writeln!(out, "{line}   → {fed} rows").expect("write");
                         }
+                        writeln!(out).expect("write");
                     }
                     Some(st) => {
                         let probe = si - 1;
@@ -2152,12 +2139,17 @@ impl Parj {
 
 /// Per-plan step counters captured for the annotated-plan report
 /// (mirrors [`parj_join::PlanProfile`], but buildable from an
-/// [`parj_join::ExecRecord`] of a parallel run).
+/// [`parj_join::ExecRecord`] of a parallel run, which also carries the
+/// morsel grid; the single-threaded [`Parj::profile`] leaves it zero).
 #[derive(Default)]
 struct CapturedProfile {
     rows: Vec<u64>,
     step_search: Vec<SearchStats>,
     driver: SearchStats,
+    morsels: u64,
+    morsel_size: usize,
+    /// Participants that ran at least one morsel.
+    participants: u64,
 }
 
 /// Bridges the executor's once-per-run [`parj_join::Recorder`] callback
@@ -2194,6 +2186,9 @@ impl parj_join::Recorder for RunRecorder {
                 rows: r.step_rows.to_vec(),
                 step_search: r.step_search.to_vec(),
                 driver: r.driver_search,
+                morsels: r.morsels,
+                morsel_size: r.morsel_size,
+                participants: r.participants,
             });
         }
     }
@@ -2462,6 +2457,29 @@ mod tests {
             .run()
             .unwrap();
         assert!(out.profile.is_none());
+    }
+
+    #[test]
+    fn request_explain_shows_the_morsel_grid() {
+        // 3 000 driver keys at 2 threads: the grid derives
+        // max(⌈3000 / 16⌉, 256) = 256 keys, i.e. 12 morsels; one thread
+        // cuts at the 16 384-key cap. Which participants ran a morsel
+        // depends on scheduling, so only the grid is pinned.
+        let mut data = String::new();
+        for i in 0..3_000 {
+            data.push_str(&format!("<http://e/s{i}> <http://e/p> <http://e/o{}> .\n", i % 7));
+        }
+        let mut e = Parj::builder().threads(2).build();
+        e.load_ntriples_str(&data).unwrap();
+        let q = "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }";
+        for (threads, grid) in [(2, "12 morsels × 256 keys on "), (1, "1 morsels × 16384 keys on 1 ")] {
+            let out = e.request(q).threads(threads).count_only().explain(true).run().unwrap();
+            assert_eq!(out.count, 3_000);
+            let profile = out.profile.as_deref().expect("explain attaches a profile");
+            let driver = profile.lines().next().expect("driver line");
+            assert!(driver.contains("→ 3000 rows · "), "{driver}");
+            assert!(driver.contains(grid), "{driver}");
+        }
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl<'e> QueryRequest<'e> {
         self
     }
 
-    /// Overrides the morsel size (driver keys per work unit) for this
+    /// Overrides the upper bound on driver keys per morsel for this
     /// run. Results are byte-identical at any value; zero is rejected
     /// at [`run`](QueryRequest::run) with
     /// [`ParjError::InvalidOptions`].

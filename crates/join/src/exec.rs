@@ -9,11 +9,12 @@
 //! mutable: no exchange, no queues, no rehashing, no termination
 //! protocol ("parallel execution without any form of communication or
 //! synchronization between the workers"). Morsel-driven dispatch
-//! (fixed [`ExecOptions::morsel_size`], default 16 384 driver keys)
-//! replaces the original static `threads × shards_per_thread` split:
-//! skewed key ranges no longer pin one worker while its siblings idle,
-//! because the next chunk always goes to whichever worker frees up
-//! first.
+//! keeps skewed key ranges from pinning one worker while its siblings
+//! idle, because the next chunk always goes to whichever worker frees
+//! up first. The grid is sized per run from the driver domain and the
+//! participant count (see `grid_size`), capped at
+//! [`ExecOptions::morsel_size`] keys, so a parallel run gets several
+//! morsels per participant whatever the store size.
 //!
 //! Workers come from two places: an engine-owned persistent
 //! [`WorkerPool`](crate::WorkerPool) (via [`execute_pooled`] — no
@@ -77,6 +78,11 @@ pub struct ExecRecord<'a> {
     /// Driver morsels actually executed (pulled off the shared cursor
     /// and run) across all workers.
     pub morsels: u64,
+    /// Driver keys per morsel of the grid this run was cut into (the
+    /// last morsel may be shorter). Zero when no worker ran.
+    pub morsel_size: usize,
+    /// Participants that ran at least one morsel.
+    pub participants: u64,
 }
 
 /// Receives per-execution internals (once per [`execute`] call, after
@@ -91,20 +97,42 @@ pub trait Recorder: Send + Sync {
     fn record_exec(&self, record: &ExecRecord<'_>);
 }
 
-/// Default driver-morsel size, in driver keys (~16K): large enough
-/// that the shared-cursor `fetch_add` and per-morsel sink swap are
-/// noise, small enough that skewed key ranges split across workers.
+/// Default upper bound on driver keys per morsel (~16K). A run with
+/// one participant is cut at exactly this size; a parallel run derives
+/// a finer grid from its driver domain (see `grid_size`) and never
+/// exceeds it.
 pub const DEFAULT_MORSEL_SIZE: usize = 16_384;
+
+/// Morsels a parallel run aims to give each participant: enough that
+/// the last morsel to finish is short next to one participant's share.
+const MORSELS_PER_PARTICIPANT: usize = 8;
+
+/// Smallest derived morsel, in driver keys: below it the shared-cursor
+/// `fetch_add` and the per-morsel sink swap stop being noise.
+const MIN_MORSEL_KEYS: usize = 256;
+
+/// Driver keys per morsel for one run over `domain` keys with
+/// `participants` workers and a caller cap of `cap` keys.
+///
+/// One participant gets `cap` (a single-participant run gains nothing
+/// from more sinks). Otherwise the domain is cut into about
+/// `participants × MORSELS_PER_PARTICIPANT` morsels, clamped to
+/// `[min(MIN_MORSEL_KEYS, cap), cap]`. The count therefore follows the
+/// participants rather than the store size, and a domain below the cap
+/// still spreads over every participant.
+fn grid_size(domain: usize, participants: usize, cap: usize) -> usize {
+    if participants <= 1 {
+        return cap;
+    }
+    let target = participants.saturating_mul(MORSELS_PER_PARTICIPANT);
+    domain.div_ceil(target).clamp(MIN_MORSEL_KEYS.min(cap), cap)
+}
 
 /// Why an [`ExecOptionsBuilder`] rejected its inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecOptionsError {
     /// `threads` was zero — the executor needs at least one worker.
     ZeroThreads,
-    /// The deprecated `shards_per_thread` knob was zero — the driver
-    /// cannot be split into zero shards. Only produced by the
-    /// deprecated [`ExecOptionsBuilder::shards_per_thread`] shim.
-    ZeroShardsPerThread,
     /// `morsel_size` was zero — workers cannot pull empty morsels.
     ZeroMorselSize,
 }
@@ -113,9 +141,6 @@ impl std::fmt::Display for ExecOptionsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecOptionsError::ZeroThreads => write!(f, "threads must be at least 1"),
-            ExecOptionsError::ZeroShardsPerThread => {
-                write!(f, "shards_per_thread must be at least 1")
-            }
             ExecOptionsError::ZeroMorselSize => {
                 write!(f, "morsel_size must be at least 1")
             }
@@ -133,12 +158,12 @@ pub struct ExecOptions {
     /// (hyper-threading, §5.1). Must be ≥ 1; use [`ExecOptions::builder`]
     /// to get that checked at construction.
     pub threads: usize,
-    /// Driver keys per morsel. Workers pull fixed-size contiguous
-    /// chunks of this many driver keys off a shared atomic cursor;
-    /// smaller morsels smooth load imbalance between skewed key ranges
-    /// at the cost of more cursor traffic and per-morsel sink swaps.
-    /// Must be ≥ 1. Results are byte-identical for every value — only
-    /// scheduling granularity changes.
+    /// Upper bound on driver keys per morsel. Workers pull contiguous
+    /// chunks of the driver off a shared atomic cursor; a run with one
+    /// participant uses chunks of exactly this size, a parallel run
+    /// derives a finer grid from its driver domain and thread count
+    /// and never exceeds it. Must be ≥ 1. Results are byte-identical
+    /// for every value — only scheduling granularity changes.
     pub morsel_size: usize,
     /// Probe strategy (Table 5's four columns).
     pub strategy: ProbeStrategy,
@@ -190,7 +215,6 @@ impl ExecOptions {
     pub fn builder() -> ExecOptionsBuilder {
         ExecOptionsBuilder {
             opts: ExecOptions::default(),
-            legacy_zero_shards: false,
         }
     }
 
@@ -210,9 +234,6 @@ impl ExecOptions {
 #[derive(Debug, Clone)]
 pub struct ExecOptionsBuilder {
     opts: ExecOptions,
-    /// The deprecated `shards_per_thread(0)` shim must keep reporting
-    /// its historical error variant; remembered until `build`.
-    legacy_zero_shards: bool,
 }
 
 impl ExecOptionsBuilder {
@@ -222,26 +243,10 @@ impl ExecOptionsBuilder {
         self
     }
 
-    /// Sets the driver-morsel size in keys (validated ≥ 1 at build).
+    /// Sets the upper bound on driver keys per morsel (validated ≥ 1
+    /// at build).
     pub fn morsel_size(mut self, morsel_size: usize) -> Self {
         self.opts.morsel_size = morsel_size;
-        self
-    }
-
-    /// Maps the pre-morsel over-subscription knob onto an equivalent
-    /// morsel size: `shards_per_thread = n` used to split the driver
-    /// into finer static shards, so higher `n` now buys smaller
-    /// morsels (`DEFAULT_MORSEL_SIZE / n`, floored at 1). Zero is
-    /// rejected at build with the historical error.
-    #[deprecated(
-        since = "0.1.0",
-        note = "static sharding was replaced by morsel-driven dispatch; use `morsel_size`"
-    )]
-    pub fn shards_per_thread(mut self, shards: usize) -> Self {
-        match DEFAULT_MORSEL_SIZE.checked_div(shards) {
-            None => self.legacy_zero_shards = true,
-            Some(size) => self.opts.morsel_size = size.max(1),
-        }
         self
     }
 
@@ -265,9 +270,6 @@ impl ExecOptionsBuilder {
 
     /// Validates and returns the options.
     pub fn build(self) -> Result<ExecOptions, ExecOptionsError> {
-        if self.legacy_zero_shards {
-            return Err(ExecOptionsError::ZeroShardsPerThread);
-        }
         self.opts.validate()?;
         Ok(self.opts)
     }
@@ -296,7 +298,7 @@ pub enum ExecFailureKind {
         message: String,
     },
     /// The supplied [`ExecOptions`] were invalid (e.g. zero threads or
-    /// shards). Raised instead of panicking when options bypass
+    /// morsel size). Raised instead of panicking when options bypass
     /// [`ExecOptions::builder`]'s validation.
     InvalidOptions {
         /// What was wrong with the options.
@@ -1057,9 +1059,10 @@ fn prepare_exec<'a>(
     Some((ctxs, driver))
 }
 
-/// Runs the plan single-threaded over the morsel grid that parallel
-/// workers would pull from, returning each morsel's **work units**
-/// (rows emitted + array words touched).
+/// Runs the plan single-threaded over the morsel grid a run with
+/// `opts` executes (the same `grid_size` cut of the driver domain),
+/// returning each morsel's **work units** (rows emitted + array words
+/// touched).
 ///
 /// Workers draw morsels dynamically from one atomic cursor, so on
 /// ideal hardware the parallel makespan with `K` threads is bounded
@@ -1096,14 +1099,14 @@ pub fn morsel_loads_view(
         return Ok(Vec::new());
     };
     let domain = driver.domain();
-    let shard_size = opts.morsel_size;
+    let size = grid_size(domain, opts.threads, opts.morsel_size);
     let guard = QueryGuard::unlimited();
     let mut worker = Worker::new(&ctxs, opts.strategy, plan, CountSink::default(), &guard);
     let mut loads = Vec::new();
     let mut prev = 0u64;
     let mut lo = 0usize;
     while lo < domain {
-        let hi = (lo + shard_size).min(domain);
+        let hi = (lo + size).min(domain);
         worker.run_range(&driver, lo, hi);
         let now = worker.sink.count + worker.total_stats().words_touched();
         loads.push(now - prev);
@@ -1111,21 +1114,6 @@ pub fn morsel_loads_view(
         lo = hi;
     }
     Ok(loads)
-}
-
-/// Pre-morsel name for [`morsel_loads`]; the chunk grid is now the
-/// morsel grid rather than `threads × shards_per_thread` static shards.
-#[deprecated(
-    since = "0.1.0",
-    note = "static sharding was replaced by morsel-driven dispatch; use `morsel_loads`"
-)]
-pub fn shard_loads(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> Result<Vec<u64>, ExecOptionsError> {
-    morsel_loads(store, plan, opts, thresholds)
 }
 
 /// Size of the driver domain `plan` would scan — the number of keys of
@@ -1235,6 +1223,7 @@ struct RunShape<'a> {
     driver: &'a ResolvedDriver<'a>,
     plan: &'a PhysicalPlan,
     strategy: ProbeStrategy,
+    /// Keys per morsel, from `grid_size`.
     morsel_size: usize,
     domain: usize,
 }
@@ -1310,6 +1299,7 @@ fn merge_participants<S: Sink>(
     opts: &ExecOptions,
     guard: &QueryGuard,
     n_ctxs: usize,
+    morsel_size: usize,
 ) -> ExecResult<(Vec<S>, SearchStats)> {
     let mut total = SearchStats::default();
     let mut worst: Option<ExecFailureKind> =
@@ -1327,6 +1317,7 @@ fn merge_participants<S: Sink>(
     let mut agg_step_rows = vec![0u64; if recording { n_ctxs + 1 } else { 0 }];
     let mut worker_units: Vec<u64> = Vec::new();
     let mut morsel_count = 0u64;
+    let mut active = 0u64;
 
     let mut tagged: Vec<(usize, S)> = Vec::new();
     for out in parts {
@@ -1335,6 +1326,7 @@ fn merge_participants<S: Sink>(
             note(ExecFailureKind::from_trip(trip), &mut worst);
         }
         morsel_count += out.morsels.len() as u64;
+        active += u64::from(!out.morsels.is_empty());
         if recording {
             for (agg, s) in agg_step_stats.iter_mut().zip(&out.step_stats) {
                 agg.merge(s);
@@ -1364,6 +1356,8 @@ fn merge_participants<S: Sink>(
             total_search: total,
             worker_units: &worker_units,
             morsels: morsel_count,
+            morsel_size,
+            participants: active,
         });
     }
     if let Some(kind) = worst {
@@ -1388,6 +1382,8 @@ fn record_empty(opts: &ExecOptions) {
             total_search: SearchStats::default(),
             worker_units: &[],
             morsels: 0,
+            morsel_size: 0,
+            participants: 0,
         });
     }
 }
@@ -1478,18 +1474,19 @@ where
     };
 
     let domain = driver.domain();
+    let morsel_size = grid_size(domain, opts.threads, opts.morsel_size);
     let shape = RunShape {
         ctxs,
         driver,
         plan,
         strategy: opts.strategy,
-        morsel_size: opts.morsel_size,
+        morsel_size,
         domain,
     };
     let cursor = AtomicUsize::new(0);
     // Workers beyond the morsel count would only spin the cursor once
     // and exit; don't spawn them.
-    let num_morsels = domain.div_ceil(opts.morsel_size).max(1);
+    let num_morsels = domain.div_ceil(morsel_size).max(1);
     let threads = opts.threads.min(num_morsels);
 
     let mut parts: Vec<ParticipantOutput<S>> = Vec::with_capacity(threads);
@@ -1542,7 +1539,7 @@ where
             }
         });
     }
-    merge_participants(parts, panicked, opts, guard, ctxs.len())
+    merge_participants(parts, panicked, opts, guard, ctxs.len(), morsel_size)
 }
 
 /// Shared mutable state of one pooled job, behind a mutex: finished
@@ -1610,7 +1607,9 @@ where
         return Ok((Vec::new(), SearchStats::default()));
     };
     let n_ctxs = ctxs.len();
-    let num_morsels = driver.domain().div_ceil(opts.morsel_size).max(1);
+    // Sized once here; every participant cuts the same grid.
+    let morsel_size = grid_size(driver.domain(), opts.threads, opts.morsel_size);
+    let num_morsels = driver.domain().div_ceil(morsel_size).max(1);
     let helpers = opts.threads.saturating_sub(1).min(num_morsels - 1);
     if helpers == 0 {
         // Single-participant queries never touch the pool: run inline
@@ -1673,7 +1672,7 @@ where
                 driver: &driver,
                 plan: &plan,
                 strategy: probe_opts.strategy,
-                morsel_size: probe_opts.morsel_size,
+                morsel_size,
                 domain: driver.domain(),
             };
             // Contained per participant: a panic trips the shared
@@ -1703,7 +1702,7 @@ where
     let parts = std::mem::take(&mut locked.parts);
     let panicked = locked.panicked.take();
     drop(locked);
-    merge_participants(parts, panicked, opts, &guard, n_ctxs)
+    merge_participants(parts, panicked, opts, &guard, n_ctxs, morsel_size)
 }
 
 /// Builds a threshold table from the paper's default calibration windows
@@ -2655,36 +2654,121 @@ mod tests {
         assert_eq!(opts.strategy, ProbeStrategy::AlwaysBinary);
     }
 
+    proptest::proptest! {
+        /// The derived grid stays inside `[min(MIN, cap), cap]`, equals
+        /// the cap with one participant, and gives every participant at
+        /// least `MORSELS_PER_PARTICIPANT` morsels once the domain is
+        /// large enough to allow it without going under the floor. (The
+        /// size rounds up, so beyond 32 participants — a target above
+        /// `MIN_MORSEL_KEYS` — the domain must also reach target² keys.)
+        #[test]
+        fn grid_size_bounds(
+            domain in 0usize..5_000_000,
+            participants in 1usize..64,
+            cap in 1usize..100_000,
+        ) {
+            let size = grid_size(domain, participants, cap);
+            proptest::prop_assert!(size <= cap);
+            proptest::prop_assert!(size >= MIN_MORSEL_KEYS.min(cap));
+            proptest::prop_assert_eq!(grid_size(domain, 1, cap), cap);
+            let target = participants * MORSELS_PER_PARTICIPANT;
+            if domain >= target * MIN_MORSEL_KEYS.max(target) {
+                proptest::prop_assert!(domain.div_ceil(size) >= target);
+            }
+        }
+    }
+
+    /// `driver_keys` subjects, each with one `p` edge to one of 37
+    /// targets: a key-scan driver of exactly `driver_keys` keys.
+    fn scan_store(driver_keys: u32) -> (Arc<TripleStore>, Arc<PhysicalPlan>) {
+        let mut b = StoreBuilder::new();
+        for i in 0..driver_keys {
+            b.add_term_triple(
+                &Term::iri(format!("s{i}")),
+                &Term::iri("p"),
+                &Term::iri(format!("t{}", i % 37)),
+            );
+        }
+        let store = b.build();
+        let plan = PhysicalPlan::new(
+            vec![PlanStep {
+                predicate: pid(&store, "p"),
+                order: SortOrder::SO,
+                key: Atom::Var(0),
+                value: Atom::Var(1),
+            }],
+            2,
+            vec![0, 1],
+        )
+        .unwrap();
+        (Arc::new(store), Arc::new(plan))
+    }
+
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shards_per_thread_shim() {
-        // The PR-3-style shim: the legacy knob maps onto the morsel
-        // grid (`DEFAULT_MORSEL_SIZE / shards`, floored at 1) and zero
-        // still fails with the legacy error.
-        assert_eq!(
-            ExecOptions::builder().shards_per_thread(0).build().unwrap_err(),
-            ExecOptionsError::ZeroShardsPerThread
-        );
-        let opts = ExecOptions::builder()
-            .shards_per_thread(2)
-            .build()
-            .expect("valid");
-        assert_eq!(opts.morsel_size, DEFAULT_MORSEL_SIZE / 2);
-        let opts = ExecOptions::builder()
-            .shards_per_thread(usize::MAX)
-            .build()
-            .expect("valid");
-        assert_eq!(opts.morsel_size, 1, "huge shard counts floor at 1");
+    fn small_driver_spreads_over_the_pool() {
+        // A ~5 000-key driver sits far below the 16 384-key cap. Cut at
+        // the cap it was one morsel on the submitting thread; the
+        // derived grid gives both participants several morsels.
+        let (store, plan) = scan_store(5_000);
+        let pool = WorkerPool::new(1);
+        let rec = Arc::new(CaptureRecorder::default());
+        let opts = ExecOptions {
+            threads: 2,
+            recorder: Some(Arc::clone(&rec) as Arc<dyn Recorder>),
+            ..ExecOptions::default()
+        };
+        let rows = collect_pooled(&pool, &store, &plan, &opts).expect("pooled runs");
+        assert_eq!(rows.len(), 2 * 5_000);
+        assert!(pool.stats().jobs > 0, "the run must go through the pool");
+        let seen = rec.seen.lock().unwrap();
+        assert!(seen[0].5 >= 4, "{} morsels", seen[0].5);
+        assert_eq!(seen[0].6, 5_000usize.div_ceil(16), "keys per morsel");
+    }
+
+    #[test]
+    fn morsel_loads_match_the_executed_grid() {
+        // The diagnostic grid is the grid that runs, at one participant
+        // (the cap) and at two (derived), scoped and pooled.
+        let (store, plan) = scan_store(3_000);
+        let thresholds = Arc::new(default_thresholds(&store));
+        let pool = WorkerPool::new(1);
+        for threads in [1usize, 2] {
+            let opts = ExecOptions {
+                threads,
+                morsel_size: 1_000,
+                ..ExecOptions::default()
+            };
+            let loads = morsel_loads(&store, &plan, &opts, &thresholds).expect("valid");
+            for pooled in [false, true] {
+                let rec = Arc::new(CaptureRecorder::default());
+                let opts = ExecOptions {
+                    recorder: Some(Arc::clone(&rec) as Arc<dyn Recorder>),
+                    ..opts.clone()
+                };
+                if pooled {
+                    execute_pooled(&pool, &store, &plan, &opts, &thresholds, CountSink::default)
+                        .expect("runs");
+                } else {
+                    execute_count_with(&store, &plan, &opts, &thresholds).expect("runs");
+                }
+                let morsels = rec.seen.lock().unwrap()[0].5;
+                assert_eq!(loads.len() as u64, morsels, "threads {threads} pooled {pooled}");
+            }
+            assert_eq!(loads.len(), if threads == 1 { 3 } else { 12 });
+        }
     }
 
     /// Owned copy of an [`ExecRecord`]: (result_rows, step_rows,
-    /// step_search, total_search, worker_units, morsels).
+    /// step_search, total_search, worker_units, morsels, morsel_size,
+    /// participants).
     type OwnedRecord = (
         u64,
         Vec<u64>,
         Vec<SearchStats>,
         SearchStats,
         Vec<u64>,
+        u64,
+        usize,
         u64,
     );
 
@@ -2703,6 +2787,8 @@ mod tests {
                 r.total_search,
                 r.worker_units.to_vec(),
                 r.morsels,
+                r.morsel_size,
+                r.participants,
             ));
         }
     }
@@ -2746,7 +2832,8 @@ mod tests {
             assert_eq!(count, 4);
             let seen = rec.seen.lock().unwrap();
             assert_eq!(seen.len(), 1, "exactly one record per execution");
-            let (rows, step_rows, step_search, rec_total, units, morsels) = &seen[0];
+            let (rows, step_rows, step_search, rec_total, units, morsels, size, active) =
+                &seen[0];
             assert_eq!(*rows, 4);
             // One probe step: step_rows = [driver tuples, results].
             assert_eq!(step_rows, &vec![4, 4]);
@@ -2762,6 +2849,8 @@ mod tests {
                 *morsels, domain as u64,
                 "every in-domain morsel executed exactly once"
             );
+            assert_eq!(*size, 1);
+            assert!(*active >= 1 && *active <= units.len() as u64);
             let unit_sum: u64 = units.iter().sum();
             assert_eq!(unit_sum, 4 + total.words_touched());
         }

@@ -77,8 +77,6 @@ mod stats;
 mod threshold;
 
 pub use calibrate::{calibrate, CalibrationConfig, CalibrationResult};
-#[allow(deprecated)]
-pub use exec::shard_loads;
 pub use exec::{
     driver_domain, driver_domain_view, execute, execute_collect, execute_count,
     execute_count_with, execute_pooled, execute_pooled_view, execute_profiled,
