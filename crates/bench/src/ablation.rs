@@ -16,11 +16,11 @@
 //!   shows the optimizer's sensitivity to statistics quality (§4.3
 //!   "estimates based on such histograms may not be accurate").
 
+use std::sync::Arc;
+
 use parj_core::{Parj, RunOverrides};
 use parj_datagen::lubm;
-use parj_join::{
-    execute_count_with, CalibrationResult, ExecOptions, ProbeStrategy, ThresholdTable,
-};
+use parj_join::{execute_count, CalibrationResult, ExecOptions, ProbeStrategy, ThresholdTable};
 use parj_optimizer::{optimize, Stats};
 use parj_store::{SortOrder, StoreBuilder, StoreOptions};
 use serde_json::json;
@@ -43,7 +43,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
 
     // ---- A1: adaptive window sweep -----------------------------------
     {
-        let store = lubm::generate_store(&cfg);
+        let store = Arc::new(lubm::generate_store(&cfg));
         let stats = Stats::build(&store);
         let mut engine_for_encoding = lubm_engine(args.scale, args.engine_config());
         // Optimize each query once (plans are window-independent).
@@ -51,7 +51,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
             .iter()
             .filter_map(|q| {
                 let (patterns, num_vars) = encode_bgp(&mut engine_for_encoding, &q.sparql)?;
-                optimize(&stats, &patterns, num_vars, vec![]).ok()
+                optimize(&stats, &patterns, num_vars, vec![]).ok().map(Arc::new)
             })
             .collect();
         let mut t = Table::new(
@@ -66,7 +66,7 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 iterations_binary: 0,
                 iterations_index: 0,
             };
-            let thresholds = ThresholdTable::from_calibration(&store, &cal);
+            let thresholds = Arc::new(ThresholdTable::from_calibration(&store, &cal));
             let opts = ExecOptions::builder()
                 .strategy(ProbeStrategy::AdaptiveBinary)
                 .build()
@@ -77,7 +77,8 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 seq = 0;
                 bin = 0;
                 for plan in &plans {
-                    let (_, s) = execute_count_with(&store, plan, &opts, &thresholds).expect("runs");
+                    let (_, s) = execute_count(None, &store, None, plan, &opts, &thresholds)
+                        .expect("runs");
                     seq += s.sequential_searches;
                     bin += s.binary_searches;
                 }
@@ -104,11 +105,11 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
             lubm::generate(&cfg, |s, p, o| {
                 builder.add_term_triple(&s, &p, &o);
             });
-            let store = builder.build_with(StoreOptions {
+            let store = Arc::new(builder.build_with(StoreOptions {
                 build_idpos: true,
                 idpos_interval: interval,
                 ..StoreOptions::default()
-            });
+            }));
             let index_bytes: usize = store
                 .partitions()
                 .iter()
@@ -123,17 +124,20 @@ pub fn ablation(args: &Args) -> (Vec<Table>, serde_json::Value) {
                 .iter()
                 .filter_map(|q| {
                     let (patterns, num_vars) = encode_bgp(&mut engine_for_encoding, &q.sparql)?;
-                    optimize(&stats, &patterns, num_vars, vec![]).ok()
+                    optimize(&stats, &patterns, num_vars, vec![]).ok().map(Arc::new)
                 })
                 .collect();
-            let thresholds = ThresholdTable::from_calibration(&store, &CalibrationResult::paper_defaults());
+            let thresholds = Arc::new(ThresholdTable::from_calibration(
+                &store,
+                &CalibrationResult::paper_defaults(),
+            ));
             let opts = ExecOptions::builder()
                 .strategy(ProbeStrategy::AlwaysIndex)
                 .build()
                 .expect("valid options");
             let m = measure_ms(args.runs, || {
                 for plan in &plans {
-                    execute_count_with(&store, plan, &opts, &thresholds).expect("runs");
+                    execute_count(None, &store, None, plan, &opts, &thresholds).expect("runs");
                 }
             });
             let mib = index_bytes as f64 / (1 << 20) as f64;

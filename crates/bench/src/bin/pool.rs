@@ -1,5 +1,5 @@
-//! Closed-loop comparison of persistent-pool vs spawn-per-query worker
-//! dispatch on selective queries. See EXPERIMENTS.md.
+//! Closed-loop comparison of the engine's persistent worker pool vs a
+//! pool made per query, on selective queries. See EXPERIMENTS.md.
 fn main() {
     let args = parj_bench::Args::parse(parj_bench::default_scale("pool"));
     let (tables, json) = parj_bench::serve::pool(&args);

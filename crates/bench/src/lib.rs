@@ -16,7 +16,7 @@
 //! | `delta` | write throughput: `mutate()` delta batches vs rebuild-per-batch (not a paper artifact) |
 //! | `metrics_overhead` | observability-registry recording cost, on vs off (not a paper artifact) |
 //! | `serve` | closed-loop HTTP serving: qps/p50/p99 vs client count + overload (not a paper artifact) |
-//! | `pool` | persistent-pool vs spawn-per-query dispatch at 8 clients (not a paper artifact) |
+//! | `pool` | persistent pool vs a pool per query at 8 clients (not a paper artifact) |
 //! | `locks` | ordered-lock wrapper overhead guardrail + per-level lock-wait profile (not a paper artifact) |
 //! | `compress` | replica block-compression: bytes/triple + probe throughput, raw vs packed (not a paper artifact) |
 //! | `run_all`| everything above, with outputs under `results/` |
@@ -64,7 +64,7 @@ pub fn default_scale(experiment: &str) -> usize {
         // HTTP closed-loop serving sweep: a small store keeps the
         // per-request work bounded while clients stack up.
         "serve" => 4,
-        // Pool-vs-spawn dispatch on selective queries: same small
+        // Persistent vs per-query pool on selective queries: same small
         // store; per-request overhead is the measured quantity.
         "pool" => 4,
         // Lock-overhead guardrail: the microbench dominates; the

@@ -13,8 +13,8 @@
 //!    gauge drains to zero afterwards.
 //!
 //! A third entry point, [`pool`], reuses the same closed-loop harness
-//! to compare the engine's persistent worker pool against
-//! spawn-per-query dispatch on a selective-query mix.
+//! to compare the engine's persistent worker pool against a worker
+//! pool made per query on a selective-query mix.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -26,7 +26,7 @@ use parj_datagen::lubm;
 use parj_server::{ParjServer, ServerConfig};
 use serde_json::json;
 
-use crate::report::fmt_ms;
+use crate::report::{fmt_ms, git_sha};
 use crate::setup::lubm_engine;
 use crate::{Args, Table};
 
@@ -318,12 +318,12 @@ fn scrape_labelled_sum(addr: SocketAddr, family: &str) -> u64 {
 }
 
 /// Pool dispatch benchmark: the same selective-query closed loop run
-/// twice — once against an engine whose queries submit to the
-/// persistent worker pool, once against one that spawns fresh scoped
-/// threads per query. Both engines use 2 worker threads per query, a
-/// small morsel size (so multi-worker dispatch actually engages on
-/// selective queries), and no cache, so the only difference is how
-/// worker threads are provisioned.
+/// twice — once against an engine whose queries submit to its
+/// persistent worker pool, once against one (`use_pool = false`) whose
+/// multi-threaded queries each make a pool and drop it. Both engines
+/// use 2 worker threads per query, a small morsel size (so multi-worker
+/// dispatch actually engages on selective queries), and no cache, so
+/// the only difference is the worker threads' lifetime.
 pub fn pool(args: &Args) -> (Vec<Table>, serde_json::Value) {
     let queries = lubm::queries();
     let paths: Vec<String> = queries
@@ -333,10 +333,12 @@ pub fn pool(args: &Args) -> (Vec<Table>, serde_json::Value) {
         .collect();
     assert_eq!(paths.len(), POOL_MIX.len(), "pool mix names must resolve");
 
+    let sha = git_sha();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut table = Table::new(
         format!(
             "Pool dispatch — {POOL_CLIENTS} clients × {} selective LUBM queries (U={}, \
-             2 threads/query, morsel size 64, cache off)",
+             2 threads/query, morsel size 64, cache off, nproc={nproc}, at {sha})",
             REQUESTS_PER_CLIENT, args.scale
         ),
         &["qps", "p50 (ms)", "p99 (ms)", "pool jobs", "helper joins", "lock wait (µs)"],
@@ -384,7 +386,7 @@ pub fn pool(args: &Args) -> (Vec<Table>, serde_json::Value) {
         }
         qps_by_mode[i] = qps;
         table.row(
-            if pooled { "pooled" } else { "spawn-per-query" },
+            if pooled { "pooled" } else { "per-query pool" },
             vec![
                 format!("{qps:.0}"),
                 fmt_ms(p50),
@@ -395,7 +397,7 @@ pub fn pool(args: &Args) -> (Vec<Table>, serde_json::Value) {
             ],
         );
         rows.insert(
-            if pooled { "pooled" } else { "spawn" }.to_string(),
+            if pooled { "pooled" } else { "per_query_pool" }.to_string(),
             json!({
                 "qps": qps, "p50_ms": p50, "p99_ms": p99,
                 "requests": POOL_CLIENTS * REQUESTS_PER_CLIENT,
@@ -405,7 +407,7 @@ pub fn pool(args: &Args) -> (Vec<Table>, serde_json::Value) {
         );
     }
     let speedup = qps_by_mode[0] / qps_by_mode[1].max(f64::MIN_POSITIVE);
-    table.row("speedup (pooled/spawn)", vec![
+    table.row("speedup (pooled/per-query pool)", vec![
         format!("{speedup:.2}x"),
         String::new(),
         String::new(),
@@ -418,19 +420,18 @@ pub fn pool(args: &Args) -> (Vec<Table>, serde_json::Value) {
         vec![table],
         json!({
             "experiment": "pool", "dataset": "lubm", "scale": args.scale,
+            "git_sha": sha, "nproc": nproc,
             "clients": POOL_CLIENTS,
             "requests_per_client": REQUESTS_PER_CLIENT,
             "query_mix": POOL_MIX,
             "threads_per_query": 2,
             "morsel_size": 64,
             "modes": serde_json::Value::Object(rows),
-            "qps_speedup_pooled_over_spawn": speedup,
+            "qps_speedup_pooled_over_per_query_pool": speedup,
             "hardware_note": format!(
-                "run on a {}-core host; the paper-shaped ≥2x pooled-dispatch gain \
-                 needs a multicore machine where spawn-per-query thread churn \
-                 contends with query work — on a single-CPU container the two \
-                 modes converge",
-                std::thread::available_parallelism().map_or(1, |n| n.get())
+                "run on a {nproc}-core host; a persistent pool avoids one thread \
+                 start-up and join per multi-threaded query, which matters most \
+                 where that churn contends with query work on many cores"
             ),
         }),
     )

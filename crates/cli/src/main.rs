@@ -82,8 +82,8 @@ FLAGS:
   --morsel-size N  upper bound on driver keys per work morsel; parallel
                    runs derive a finer grid from the driver size
                    (default 16384; results are identical at any value)
-  --no-pool        spawn fresh query threads instead of using the
-                   engine's persistent worker pool
+  --no-pool        give each multi-threaded query a worker pool of its
+                   own instead of the engine's persistent one
   --stats          print a per-query EXPLAIN ANALYZE report to stderr
                    (query/count): annotated plan, phase timings, search mix
   --prometheus     (stats) expose the metrics registry as Prometheus text
@@ -429,7 +429,14 @@ fn run() -> Result<(), Failure> {
                     println!("{}", engine.explain(&query).map_err(fail)?);
                 }
                 "profile" => {
-                    println!("{}", engine.profile(&query).map_err(fail)?);
+                    // EXPLAIN ANALYZE of the real (parallel) run.
+                    let out = engine
+                        .request(&query)
+                        .count_only()
+                        .explain(true)
+                        .run()
+                        .map_err(fail)?;
+                    print!("{}", out.report());
                 }
                 "count" => {
                     let mut req = engine.request(&query).count_only().explain(cli.show_stats);

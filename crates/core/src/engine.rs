@@ -7,10 +7,9 @@ use parj_sync::Arc;
 
 use parj_dict::{DictView, Id, Term};
 use parj_join::{
-    calibrate, execute_pooled_view, execute_view, CalibrationConfig, CalibrationResult,
-    CancelToken, CollectSink, CountSink, ExecFailure, ExecFailureKind, ExecOptions, PhysicalPlan,
-    ProbeStrategy, QueryGuard, RowBatch, SearchStats, ThresholdTable, WorkerPool,
-    DEFAULT_MORSEL_SIZE,
+    calibrate, execute, CalibrationConfig, CalibrationResult, CancelToken, CollectSink,
+    CountSink, ExecFailure, ExecFailureKind, ExecOptions, PhysicalPlan, ProbeStrategy, QueryGuard,
+    RowBatch, SearchStats, ThresholdTable, WorkerPool, DEFAULT_MORSEL_SIZE,
 };
 use parj_cache::{CachedResult, PlanEntry, QueryCache, ResultEntry};
 use parj_obs::{CacheKind, EngineMetrics, MetricsSnapshot, QueryOutcomeClass, QueryPhase, SearchTotals};
@@ -23,7 +22,7 @@ use crate::error::ParjError;
 use crate::fingerprint::{canonicalize_query, query_fingerprint};
 use crate::hierarchy::Hierarchy;
 use crate::request::{QueryOutcome, RunMode, RunSpec};
-use crate::result::{CacheStatus, PhaseTimings, QueryResult, QueryRunStats};
+use crate::result::{CacheStatus, PhaseTimings, QueryRunStats};
 use crate::translate::{translate, Translation};
 
 /// Engine configuration (fixed at build; per-query aspects can be
@@ -44,10 +43,12 @@ pub struct EngineConfig {
     /// parallel run derives a finer grid from its driver domain and
     /// thread count. Default: [`DEFAULT_MORSEL_SIZE`].
     pub morsel_size: usize,
-    /// Dispatch multi-threaded queries onto the engine-owned persistent
-    /// [`WorkerPool`] instead of spawning scoped threads per query.
-    /// Results are identical either way; the pool removes per-query
-    /// thread churn (§5.2.3's spawn overhead). Default: `true`.
+    /// Lifetime of the [`WorkerPool`] multi-threaded queries run on.
+    /// `true`: one persistent pool owned by the engine (created when
+    /// `threads > 1`), so no threads are created per query. `false`:
+    /// each multi-threaded run makes a pool for itself and drops it at
+    /// the end, paying §5.2.3's thread start-up per query. Both run
+    /// the same executor and return identical results. Default: `true`.
     pub use_pool: bool,
     /// Probe strategy; PARJ's default is the adaptive binary/sequential
     /// switch of Algorithm 1.
@@ -70,7 +71,9 @@ pub struct EngineConfig {
     /// Run plans whose driver domain is below this many entries on a
     /// single thread, regardless of the configured thread count — the
     /// §3-suggested extension "such that very simple and selective
-    /// queries could be executed with fewer resources". `0` disables.
+    /// queries could be executed with fewer resources". The executor
+    /// applies it once the driver is resolved; an explicit per-run
+    /// thread override switches it off. `0` disables.
     pub small_query_threshold: usize,
     /// Wall-clock deadline applied to every query (measured from the
     /// start of the run, covering prepare + execution). `None` means
@@ -184,8 +187,9 @@ impl ParjBuilder {
         self
     }
 
-    /// Dispatch multi-threaded queries on the persistent worker pool
-    /// (see [`EngineConfig::use_pool`]).
+    /// Keep one persistent worker pool for the engine's lifetime, or
+    /// give each multi-threaded run its own (see
+    /// [`EngineConfig::use_pool`]).
     pub fn use_pool(mut self, on: bool) -> Self {
         self.config.use_pool = on;
         self
@@ -431,7 +435,7 @@ impl Ready {
     }
 
     /// The dictionary lookup/decode surface: base plus delta terms.
-    fn dict_view(&self) -> DictView<'_> {
+    fn dict(&self) -> DictView<'_> {
         DictView::with_delta(self.store.dict(), self.delta.dict())
     }
 
@@ -460,8 +464,9 @@ pub struct Parj {
     cache: Arc<QueryCache>,
     /// Persistent worker pool for morsel dispatch, created once per
     /// engine when [`EngineConfig::use_pool`] is on and more than one
-    /// thread is configured. Workers park between queries and are
-    /// joined when the engine (and any outstanding handles) drops.
+    /// thread is configured (without it, multi-threaded runs make a
+    /// pool per call). Workers park between queries and are joined
+    /// when the engine (and any outstanding handles) drops.
     pool: Option<Arc<WorkerPool>>,
 }
 
@@ -479,25 +484,6 @@ impl Parj {
     /// The active configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Adds one triple. On a staged engine this appends to the loading
-    /// builder; on a finalized engine it is now a shim over
-    /// [`Parj::mutate`] — the triple lands in the mutation delta and is
-    /// visible to the next query without a store rebuild.
-    #[deprecated(note = "use `engine.mutate().insert(s, p, o).run()`")]
-    pub fn add_triple(&mut self, s: &Term, p: &Term, o: &Term) {
-        if let Some(staged) = self.staged.as_mut() {
-            staged.add_term_triple(s, p, o);
-        } else {
-            // Inserts into a finalized engine cannot fail (the only
-            // mutate errors are executor-level); keep the historic
-            // infallible signature.
-            let _ = self
-                .mutate()
-                .insert(s.clone(), p.clone(), o.clone())
-                .run();
-        }
     }
 
     /// Parses and loads N-Triples text; returns the number of statements
@@ -837,7 +823,9 @@ impl Parj {
     /// Builds executor options for one query run through the validating
     /// [`ExecOptions::builder`] — an override of zero threads is
     /// rejected as [`ParjError::InvalidOptions`] instead of being
-    /// silently clamped. When any lifecycle limit is in effect
+    /// silently clamped. An explicit per-run thread override (benchmark
+    /// sweeps) always wins over the small-query rule, so it carries a
+    /// zero threshold. When any lifecycle limit is in effect
     /// (deadline, row budget, cancel token) a single [`QueryGuard`] is
     /// armed here and shared by every plan of the run — union branches
     /// draw down one budget and one deadline clock.
@@ -858,48 +846,20 @@ impl Parj {
             .threads(over.threads.unwrap_or(config.threads))
             .morsel_size(over.morsel_size.unwrap_or(config.morsel_size))
             .strategy(over.strategy.unwrap_or(config.strategy))
+            .small_query_threshold(if over.threads.is_some() {
+                0
+            } else {
+                config.small_query_threshold
+            })
             .guard(guard)
             .recorder(recorder)
             .build()
             .map_err(|e| ParjError::InvalidOptions(e.to_string()))
     }
 
-    /// §3's small-query extension: a plan driving a tiny domain runs on
-    /// one thread; the thread-spawn overhead the paper discusses in
-    /// §5.2.3 would otherwise dominate it.
-    fn opts_for_plan(
-        config: &EngineConfig,
-        ready: &Ready,
-        base: &ExecOptions,
-        explicit_threads: bool,
-        plan: &PhysicalPlan,
-    ) -> ExecOptions {
-        // An explicit per-run thread override (benchmark sweeps) always
-        // wins over the heuristic.
-        if !explicit_threads
-            && config.small_query_threshold > 0
-            && base.threads > 1
-            && parj_join::driver_domain_view(
-                &ready.store,
-                ready.exec_delta().map(|d| d.as_ref()),
-                plan,
-                base,
-            ) < config.small_query_threshold
-        {
-            ExecOptions {
-                threads: 1,
-                ..base.clone()
-            }
-        } else {
-            base.clone()
-        }
-    }
-
-    /// Dispatches one plan: multi-threaded runs go to the persistent
-    /// pool when the engine owns one (no per-query thread churn);
-    /// single-threaded runs and pool-less engines use the scoped
-    /// executor. Both paths produce byte-identical morsel-ordered
-    /// results.
+    /// Runs one plan on the engine's pool, or — without one — on a
+    /// pool made for this run when it gets more than one participant
+    /// (see [`EngineConfig::use_pool`]).
     fn exec_plan<S, F>(
         pool: Option<&Arc<WorkerPool>>,
         ready: &Ready,
@@ -911,31 +871,18 @@ impl Parj {
         S: parj_join::Sink + Send + 'static,
         F: Fn() -> S + Send + Sync + 'static,
     {
-        match pool {
-            Some(pool) if opts.threads > 1 => {
-                // The plan is tiny (a few steps + projection); cloning
-                // it into an Arc is what lets pool workers outlive the
-                // borrow without unsafe.
-                let plan = Arc::new(plan.clone());
-                execute_pooled_view(
-                    pool,
-                    &ready.store,
-                    ready.exec_delta(),
-                    &plan,
-                    opts,
-                    &ready.thresholds,
-                    factory,
-                )
-            }
-            _ => execute_view(
-                &ready.store,
-                ready.exec_delta().map(|d| d.as_ref()),
-                plan,
-                opts,
-                &ready.thresholds,
-                factory,
-            ),
-        }
+        // The plan is tiny (a few steps + projection); cloning it into
+        // an Arc is what lets pool workers outlive the borrow without
+        // unsafe.
+        execute(
+            pool.map(|p| &**p),
+            &ready.store,
+            ready.exec_delta(),
+            &Arc::new(plan.clone()),
+            opts,
+            &ready.thresholds,
+            factory,
+        )
     }
 
     /// Folds an executor failure into a [`ParjError`] carrying
@@ -1005,8 +952,8 @@ impl Parj {
     /// `canonical` applies the cache's variable/pattern
     /// canonicalization before optimizing — passed as
     /// [`EngineConfig::cache`] by the introspection entry points so
-    /// [`Parj::explain`]/[`Parj::profile`] render exactly the plans the
-    /// cached request path executes. With caching off nothing is
+    /// [`Parj::explain`] and [`Parj::morsel_loads`] see exactly the
+    /// plans the cached request path executes. With caching off nothing is
     /// renumbered and the output is identical to previous releases.
     fn prepare_on(
         ready: &Ready,
@@ -1018,7 +965,7 @@ impl Parj {
         let parsed = parse_query(query)?;
         phases.parse_micros = t.elapsed().as_micros() as u64;
         let t = Instant::now();
-        let translated = translate(&parsed, ready.dict_view(), ready.hierarchy.as_ref())?;
+        let translated = translate(&parsed, ready.dict(), ready.hierarchy.as_ref())?;
         phases.translate_micros = t.elapsed().as_micros() as u64;
         match translated {
             Translation::Empty { proj_names, limit } => Ok((None, proj_names, limit, phases)),
@@ -1342,7 +1289,7 @@ impl Parj {
         let parsed = parse_query(query)?;
         phases.parse_micros = t.elapsed().as_micros() as u64;
         let t = Instant::now();
-        let translated = translate(&parsed, ready.dict_view(), ready.hierarchy.as_ref())?;
+        let translated = translate(&parsed, ready.dict(), ready.hierarchy.as_ref())?;
         phases.translate_micros = t.elapsed().as_micros() as u64;
         let mut tq = match translated {
             Translation::Run(tq) => tq,
@@ -1445,7 +1392,6 @@ impl Parj {
         let names = tq.proj_names.clone();
         let limit = tq.limit;
         let prepare_micros = phases.total();
-        let explicit_threads = over.threads.is_some();
         let mut outcome = if silent {
             // Silent mode (the paper's primary measurement): count
             // without materialization.
@@ -1454,13 +1400,11 @@ impl Parj {
             let mut count = 0u64;
             let mut search = SearchStats::default();
             for plan in plans.iter() {
-                let plan_opts =
-                    Self::opts_for_plan(&self.config, ready, &opts, explicit_threads, plan);
                 let (sinks, s) = match Self::exec_plan(
                     self.pool.as_ref(),
                     ready,
                     plan,
-                    &plan_opts,
+                    &opts,
                     CountSink::default,
                 ) {
                     Ok(r) => r,
@@ -1521,11 +1465,9 @@ impl Parj {
             }
         } else {
             let (batch, mut stats) = Self::run_ids_on(
-                &self.config,
                 self.pool.as_ref(),
                 ready,
-                opts,
-                explicit_threads,
+                &opts,
                 &tq,
                 &plans,
                 phases,
@@ -1651,7 +1593,7 @@ impl Parj {
     /// [`ParjError::Internal`] rather than a panic, so facade callers
     /// (in particular a serving process) degrade instead of dying.
     fn decode_batch(ready: &Ready, batch: &RowBatch) -> Result<Vec<Vec<Term>>, ParjError> {
-        let dict = ready.dict_view();
+        let dict = ready.dict();
         let mut rows = Vec::with_capacity(batch.len());
         for id_row in batch.rows() {
             let mut row = Vec::with_capacity(id_row.len());
@@ -1665,44 +1607,10 @@ impl Parj {
         Ok(rows)
     }
 
-    /// Silent-mode execution (the paper's primary measurement): count
-    /// result rows without dictionary lookups or row materialization.
-    ///
-    /// `DISTINCT` queries still require materializing ids to
-    /// deduplicate; `LIMIT` caps the reported count.
-    #[deprecated(note = "use `engine.request(query).count_only().run()`")]
-    pub fn query_count(&mut self, query: &str) -> Result<(u64, QueryRunStats), ParjError> {
-        self.request(query).count_only().run().map(QueryOutcome::into_count)
-    }
-
-    /// [`Parj::query_count`] with per-run overrides.
-    #[deprecated(note = "use `engine.request(query).overrides(over).count_only().run()`")]
-    pub fn query_count_with(
-        &mut self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<(u64, QueryRunStats), ParjError> {
-        self.request(query).overrides(over).count_only().run().map(QueryOutcome::into_count)
-    }
-
-    /// `&self` variant of [`Parj::query_count_with`]: requires a
-    /// finalized engine (see [`crate::SharedParj`] for concurrent use).
-    #[deprecated(note = "use `engine.request_ref(query).overrides(over).count_only().run()`")]
-    pub fn query_count_ref(
-        &self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<(u64, QueryRunStats), ParjError> {
-        self.request_ref(query).overrides(over).count_only().run().map(QueryOutcome::into_count)
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn run_ids_on(
-        config: &EngineConfig,
         pool: Option<&Arc<WorkerPool>>,
         ready: &Ready,
-        opts: ExecOptions,
-        explicit_threads: bool,
+        opts: &ExecOptions,
         tq: &crate::translate::TranslatedQuery,
         plans: &[PhysicalPlan],
         phases: PhaseTimings,
@@ -1726,14 +1634,8 @@ impl Parj {
         let mut search = SearchStats::default();
         for (idx, plan) in plans.iter().enumerate() {
             let branch = tq.set_branch.get(idx).copied().unwrap_or(0);
-            let plan_opts = Self::opts_for_plan(config, ready, &opts, explicit_threads, plan);
-            let (sinks, s) = match Self::exec_plan(
-                pool,
-                ready,
-                plan,
-                &plan_opts,
-                CollectSink::default,
-            ) {
+            let (sinks, s) = match Self::exec_plan(pool, ready, plan, opts, CollectSink::default)
+            {
                 Ok(r) => r,
                 Err(failure) => {
                     return Err(Self::failure_to_error(
@@ -1793,7 +1695,7 @@ impl Parj {
                 };
                 key_cols.push((col, desc));
             }
-            let dict = ready.dict_view();
+            let dict = ready.dict();
             // Pre-validate every key id against the dictionary so the
             // decode inside the comparator below is infallible.
             for row in rows.rows() {
@@ -1872,7 +1774,8 @@ impl Parj {
     /// Returns, per plan of the query, the **work units** (result rows
     /// emitted + array words touched) of every driver morsel the
     /// executor would pull off the shared cursor — the grid a run with
-    /// `over`'s thread count and morsel cap actually cuts.
+    /// `over`'s thread count and morsel cap actually cuts (after the
+    /// small-query rule).
     ///
     /// Because PARJ workers share nothing and draw morsels dynamically,
     /// the parallel makespan with `K` threads on ideal hardware is
@@ -1895,73 +1798,16 @@ impl Parj {
         plans
             .iter()
             .map(|plan| {
-                // The thread count a real run would use: the grid
-                // depends on it.
-                let plan_opts =
-                    Self::opts_for_plan(&self.config, ready, &opts, over.threads.is_some(), plan);
-                parj_join::morsel_loads_view(
+                parj_join::morsel_loads(
                     &ready.store,
                     ready.exec_delta().map(|d| d.as_ref()),
                     plan,
-                    &plan_opts,
+                    &opts,
                     &ready.thresholds,
                 )
                 .map_err(|e| ParjError::InvalidOptions(e.to_string()))
             })
             .collect()
-    }
-
-    /// Materialized execution returning dictionary ids (no term decode).
-    #[deprecated(note = "use `engine.request(query).ids_only().run()`")]
-    pub fn query_ids(&mut self, query: &str) -> Result<(Vec<Vec<Id>>, QueryRunStats), ParjError> {
-        self.request(query).ids_only().run().map(QueryOutcome::into_ids)
-    }
-
-    /// [`Parj::query_ids`] with overrides.
-    #[deprecated(note = "use `engine.request(query).overrides(over).ids_only().run()`")]
-    pub fn query_ids_with(
-        &mut self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<(Vec<Vec<Id>>, QueryRunStats), ParjError> {
-        self.request(query).overrides(over).ids_only().run().map(QueryOutcome::into_ids)
-    }
-
-    /// `&self` variant of [`Parj::query_ids_with`] (finalized engines).
-    #[deprecated(note = "use `engine.request_ref(query).overrides(over).ids_only().run()`")]
-    pub fn query_ids_ref(
-        &self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<(Vec<Vec<Id>>, QueryRunStats), ParjError> {
-        self.request_ref(query).overrides(over).ids_only().run().map(QueryOutcome::into_ids)
-    }
-
-    /// Full result handling (the paper's non-silent mode): rows decoded
-    /// through the dictionary into terms.
-    #[deprecated(note = "use `engine.request(query).run()`")]
-    pub fn query(&mut self, query: &str) -> Result<QueryResult, ParjError> {
-        self.request(query).run().map(QueryOutcome::into_result)
-    }
-
-    /// [`Parj::query`] with overrides.
-    #[deprecated(note = "use `engine.request(query).overrides(over).run()`")]
-    pub fn query_with(
-        &mut self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<QueryResult, ParjError> {
-        self.request(query).overrides(over).run().map(QueryOutcome::into_result)
-    }
-
-    /// `&self` variant of [`Parj::query_with`] (finalized engines).
-    #[deprecated(note = "use `engine.request_ref(query).overrides(over).run()`")]
-    pub fn query_ref(
-        &self,
-        query: &str,
-        over: &RunOverrides,
-    ) -> Result<QueryResult, ParjError> {
-        self.request_ref(query).overrides(over).run().map(QueryOutcome::into_result)
     }
 
     /// Renders the optimized plan(s) for a query without executing it.
@@ -1979,45 +1825,8 @@ impl Parj {
         })
     }
 
-    /// Executes the query single-threaded and renders an annotated plan:
-    /// per pipeline stage, the tuples that entered it and the search
-    /// decisions it made — the `EXPLAIN ANALYZE` counterpart of
-    /// [`Parj::explain`]. For the same report from a real parallel run,
-    /// use `engine.request(query).explain(true).run()`.
-    pub fn profile(&mut self, query: &str) -> Result<String, ParjError> {
-        self.finalize();
-        let ready = self.ready_or_err()?;
-        let (prepared, _, _, _) = Self::prepare_on(ready, query, self.config.cache)?;
-        let Some((_tq, plans)) = prepared else {
-            return Ok("<empty: constant absent from data>".to_string());
-        };
-        let opts = ExecOptions {
-            threads: 1,
-            ..Self::exec_options(&self.config, &RunOverrides::default(), None)?
-        };
-        let profiles: Vec<CapturedProfile> = plans
-            .iter()
-            .map(|plan| {
-                let prof = parj_join::execute_profiled_view(
-                    &ready.store,
-                    ready.exec_delta().map(|d| d.as_ref()),
-                    plan,
-                    &opts,
-                    &ready.thresholds,
-                );
-                CapturedProfile {
-                    rows: prof.rows,
-                    step_search: prof.step_search,
-                    driver: prof.driver,
-                    ..CapturedProfile::default()
-                }
-            })
-            .collect();
-        Ok(Self::render_annotated(&plans, &profiles))
-    }
-
-    /// Renders the annotated-plan report shared by [`Parj::profile`] and
-    /// the request API's `explain(true)` mode.
+    /// Renders the annotated-plan report of the request API's
+    /// `explain(true)` mode (an `EXPLAIN ANALYZE` of the real run).
     fn render_annotated(plans: &[PhysicalPlan], profiles: &[CapturedProfile]) -> String {
         use std::fmt::Write;
         let fallback = CapturedProfile::default();
@@ -2137,10 +1946,9 @@ impl Parj {
     }
 }
 
-/// Per-plan step counters captured for the annotated-plan report
-/// (mirrors [`parj_join::PlanProfile`], but buildable from an
-/// [`parj_join::ExecRecord`] of a parallel run, which also carries the
-/// morsel grid; the single-threaded [`Parj::profile`] leaves it zero).
+/// Per-plan step counters captured for the annotated-plan report from
+/// the [`parj_join::ExecRecord`] of the real run, morsel grid
+/// included.
 #[derive(Default)]
 struct CapturedProfile {
     rows: Vec<u64>,
@@ -2216,6 +2024,7 @@ impl std::fmt::Debug for Parj {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::QueryResult;
 
     const DATA: &str = r#"
 <http://e/ProfA> <http://e/teaches> <http://e/Math> .
@@ -2375,21 +2184,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the legacy shim's observable behaviour
-    fn incremental_load_after_finalize() {
-        let mut e = engine();
-        assert_eq!(e.num_triples(), 8);
-        e.add_triple(
-            &Term::iri("http://e/ProfD"),
-            &Term::iri("http://e/worksFor"),
-            &Term::iri("http://e/U1"),
-        );
-        let (count, _) = run_count(&mut e, "SELECT ?x WHERE { ?x <http://e/worksFor> ?u }").unwrap();
-        assert_eq!(count, 4);
-        assert_eq!(e.num_triples(), 9);
-    }
-
-    #[test]
     fn snapshot_roundtrip_via_engine() {
         let mut e = engine();
         let dir = std::env::temp_dir().join(format!("parj-core-{}", std::process::id()));
@@ -2416,20 +2210,25 @@ mod tests {
     }
 
     #[test]
-    fn profile_annotates_the_plan() {
+    fn explain_annotates_the_plan() {
         let mut e = engine();
-        let text = e
-            .profile("SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> <http://e/U2> }")
-            .unwrap();
+        let explain = |e: &mut Parj, q: &str| {
+            e.request(q).count_only().explain(true).run().unwrap().profile.unwrap()
+        };
+        let text = explain(
+            &mut e,
+            "SELECT ?x ?z WHERE { ?x <http://e/teaches> ?z . ?x <http://e/worksFor> <http://e/U2> }",
+        );
         // Driver row count, probe search counts and the result total all
         // appear.
         assert!(text.contains("→ 2 rows"), "{text}");
         assert!(text.contains("probes ("), "{text}");
         assert!(text.contains("= 2 result rows"), "{text}");
         // Union plans are labelled per branch.
-        let text = e
-            .profile("SELECT ?x WHERE { { ?x <http://e/teaches> ?y } UNION { ?x <http://e/worksFor> ?y } }")
-            .unwrap();
+        let text = explain(
+            &mut e,
+            "SELECT ?x WHERE { { ?x <http://e/teaches> ?y } UNION { ?x <http://e/worksFor> ?y } }",
+        );
         assert!(text.contains("union branch plan 0"), "{text}");
         assert!(text.contains("union branch plan 1"), "{text}");
     }

@@ -17,8 +17,8 @@
 //!
 //! 1. build an engine ([`Parj::builder`]) — thread count, probe
 //!    strategy, index options;
-//! 2. load data ([`Parj::load_ntriples_str`], [`Parj::add_triple`], or a
-//!    snapshot);
+//! 2. load data ([`Parj::load_ntriples_str`], [`Parj::load_turtle_str`],
+//!    or a snapshot);
 //! 3. [`Parj::finalize`] — builds partitions, statistics, and runs the
 //!    calibration of Algorithm 2 (or adopts the paper's default
 //!    windows);

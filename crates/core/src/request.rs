@@ -260,11 +260,8 @@ impl QueryOutcome {
 
 impl Parj {
     /// Starts a query request with exclusive engine access; staged data
-    /// is finalized when the request runs.
-    ///
-    /// This is the single entry point replacing `query`, `query_with`,
-    /// `query_count`, `query_count_with`, `query_ids` and
-    /// `query_ids_with`.
+    /// is finalized when the request runs. This is the engine's one
+    /// query entry point.
     pub fn request<'e>(&'e mut self, query: &str) -> QueryRequest<'e> {
         QueryRequest::new(Target::Mut(self), query)
     }

@@ -16,7 +16,8 @@ use std::time::Duration;
 
 use parj_dict::Term;
 use parj_join::{
-    execute_count, Atom, CancelToken, ExecOptions, PhysicalPlan, PlanStep, QueryGuard,
+    default_thresholds, execute_count, Atom, CancelToken, ExecOptions, PhysicalPlan, PlanStep,
+    QueryGuard,
 };
 use parj_store::{SortOrder, StoreBuilder, TripleStore};
 
@@ -70,8 +71,9 @@ fn chain_plan(s: &TripleStore) -> PhysicalPlan {
 }
 
 fn bench_guard_overhead(c: &mut Criterion) {
-    let s = store();
-    let plan = chain_plan(&s);
+    let s = Arc::new(store());
+    let plan = Arc::new(chain_plan(&s));
+    let thresholds = Arc::new(default_thresholds(&s));
     let mut group = c.benchmark_group("guard_overhead");
 
     for threads in [1usize, 4] {
@@ -83,7 +85,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
         };
         group.bench_function(format!("unguarded/{threads}t"), |b| {
             b.iter(|| {
-                let (count, _) = execute_count(&s, &plan, &unguarded).expect("runs");
+                let (count, _) = execute_count(None, &s, None, &plan, &unguarded, &thresholds).expect("runs");
                 black_box(count)
             });
         });
@@ -95,7 +97,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
                     guard: Some(Arc::new(QueryGuard::unlimited())),
                     ..base.clone()
                 };
-                let (count, _) = execute_count(&s, &plan, &opts).expect("runs");
+                let (count, _) = execute_count(None, &s, None, &plan, &opts, &thresholds).expect("runs");
                 black_box(count)
             });
         });
@@ -110,7 +112,7 @@ fn bench_guard_overhead(c: &mut Criterion) {
                     ))),
                     ..base.clone()
                 };
-                let (count, _) = execute_count(&s, &plan, &opts).expect("runs");
+                let (count, _) = execute_count(None, &s, None, &plan, &opts, &thresholds).expect("runs");
                 black_box(count)
             });
         });

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use parj_dict::Term;
 use parj_join::{
-    execute_count, Atom, ExecOptions, ExecRecord, PhysicalPlan, PlanStep, Recorder,
+    default_thresholds, execute_count, Atom, ExecOptions, ExecRecord, PhysicalPlan, PlanStep, Recorder,
 };
 use parj_obs::EngineMetrics;
 use parj_store::{SortOrder, StoreBuilder, TripleStore};
@@ -86,15 +86,16 @@ impl Recorder for MetricsRecorder {
 }
 
 fn bench_recorder_overhead(c: &mut Criterion) {
-    let s = store();
-    let plan = chain_plan(&s);
+    let s = Arc::new(store());
+    let plan = Arc::new(chain_plan(&s));
+    let thresholds = Arc::new(default_thresholds(&s));
     let mut group = c.benchmark_group("recorder_overhead");
 
     for threads in [1usize, 4] {
         let bare = ExecOptions::with_threads(threads);
         group.bench_function(format!("unrecorded/{threads}t"), |b| {
             b.iter(|| {
-                let (count, _) = execute_count(&s, &plan, &bare).expect("runs");
+                let (count, _) = execute_count(None, &s, None, &plan, &bare, &thresholds).expect("runs");
                 black_box(count)
             });
         });
@@ -107,7 +108,7 @@ fn bench_recorder_overhead(c: &mut Criterion) {
             .expect("valid options");
         group.bench_function(format!("recorded/{threads}t"), |b| {
             b.iter(|| {
-                let (count, _) = execute_count(&s, &plan, &recorded).expect("runs");
+                let (count, _) = execute_count(None, &s, None, &plan, &recorded, &thresholds).expect("runs");
                 black_box(count)
             });
         });

@@ -16,11 +16,14 @@
 //! [`ExecOptions::morsel_size`] keys, so a parallel run gets several
 //! morsels per participant whatever the store size.
 //!
-//! Workers come from two places: an engine-owned persistent
-//! [`WorkerPool`](crate::WorkerPool) (via [`execute_pooled`] — no
-//! thread churn per query, the submitting thread participates and idle
-//! pool workers join it), or per-query scoped threads (via [`execute`],
-//! the fallback when no pool is attached).
+//! There is one entry point, [`execute`], over a store plus an
+//! optional delta overlay. It resolves the plan once on the calling
+//! thread, then dispatches one way: a run with one participant executes
+//! inline on the caller; a larger run goes to a
+//! [`WorkerPool`](crate::WorkerPool) — the engine's persistent one (no
+//! thread churn per query), or one made for the call — where the
+//! calling thread participates and idle pool workers join it.
+//! [`execute_count`] and [`execute_collect`] are sink wrappers over it.
 //!
 //! Results are **deterministic**: each participant keeps one sink per
 //! morsel it ran, and the coordinator concatenates sinks in morsel
@@ -35,17 +38,18 @@
 
 use std::panic::AssertUnwindSafe;
 use parj_sync::atomic::{AtomicUsize, Ordering};
-use parj_sync::Arc;
+use parj_sync::{Arc, LockLevel, OrderedMutex};
 
 use parj_dict::Id;
 use parj_store::{
-    DeltaOverlay, Group, Replica, ReplicaView, StoreView, TripleStore, WalkCursor,
+    DeltaOverlay, Group, GroupIter, MergedGroup, MergedIter, Replica, ReplicaView, StoreView,
+    TripleStore, WalkCursor,
 };
 
 use crate::calibrate::CalibrationResult;
 use crate::guard::{GuardTrip, QueryGuard, GUARD_BATCH};
-use crate::pool::WorkerPool;
-use crate::plan::{CompiledStep, DriverMode, DriverValue, KeyMode, PhysicalPlan, ValueMode, VarId};
+use crate::pool::{Participant, WorkerPool};
+use crate::plan::{CompiledStep, DriverMode, KeyMode, PhysicalPlan, ValueMode, VarId};
 use crate::search::{adaptive_search, ProbeStrategy};
 use crate::stats::SearchStats;
 use crate::threshold::ThresholdTable;
@@ -167,6 +171,12 @@ pub struct ExecOptions {
     pub morsel_size: usize,
     /// Probe strategy (Table 5's four columns).
     pub strategy: ProbeStrategy,
+    /// Driver domains below this many keys run on one participant
+    /// whatever `threads` says — §3's "very simple and selective
+    /// queries could be executed with fewer resources". Applied after
+    /// the driver is resolved, so the domain is sized from the one
+    /// build the run uses. `0` disables it.
+    pub small_query_threshold: usize,
     /// Lifecycle guard shared by all workers of this run (cancellation,
     /// deadline, row budget). `None` runs unguarded — the executor still
     /// installs a private guard internally so a panicking worker stops
@@ -183,6 +193,7 @@ impl std::fmt::Debug for ExecOptions {
             .field("threads", &self.threads)
             .field("morsel_size", &self.morsel_size)
             .field("strategy", &self.strategy)
+            .field("small_query_threshold", &self.small_query_threshold)
             .field("guard", &self.guard)
             .field("recorder", &self.recorder.as_ref().map(|_| "Recorder"))
             .finish()
@@ -195,6 +206,7 @@ impl Default for ExecOptions {
             threads: 1,
             morsel_size: DEFAULT_MORSEL_SIZE,
             strategy: ProbeStrategy::AdaptiveBinary,
+            small_query_threshold: 0,
             guard: None,
             recorder: None,
         }
@@ -253,6 +265,12 @@ impl ExecOptionsBuilder {
     /// Sets the probe strategy.
     pub fn strategy(mut self, strategy: ProbeStrategy) -> Self {
         self.opts.strategy = strategy;
+        self
+    }
+
+    /// Sets the small-query threshold in driver keys (`0` disables).
+    pub fn small_query_threshold(mut self, keys: usize) -> Self {
+        self.opts.small_query_threshold = keys;
         self
     }
 
@@ -462,7 +480,7 @@ enum ResolvedDriver<'a> {
     Keys {
         replica: &'a Replica,
         bind_key: VarId,
-        value: DriverValue,
+        value: ValueMode,
     },
     /// Key scan over a delta-dirtied predicate: the distinct key union
     /// of base and add runs, materialized once on the submitting
@@ -476,7 +494,7 @@ enum ResolvedDriver<'a> {
         add: Option<&'a Replica>,
         del: Option<&'a Replica>,
         bind_key: VarId,
-        value: DriverValue,
+        value: ValueMode,
     },
     Group {
         group: GroupRef<'a>,
@@ -511,21 +529,6 @@ impl ResolvedDriver<'_> {
     }
 }
 
-#[inline]
-fn group_contains(group: &[Id], value: Id, stats: &mut SearchStats) -> bool {
-    stats.group_probes += 1;
-    group.binary_search(&value).is_ok()
-}
-
-/// [`group_contains`] over either value representation: binary search
-/// on raw groups, skip-table block pick + decoded-block scan on
-/// block-compressed ones.
-#[inline]
-fn group_probe(group: Group<'_>, value: Id, stats: &mut SearchStats) -> bool {
-    stats.group_probes += 1;
-    group.contains(value)
-}
-
 /// The sorted value group for `key` in an optional delta run, counting
 /// the lookup as a group probe. Missing run or absent key → empty.
 /// Delta runs are always raw (only base/compacted replicas compress).
@@ -544,43 +547,69 @@ fn overlay_group<'a>(
     }
 }
 
-/// The base-side group for `key`, across every layout, continuing the
-/// positional walk from `cursor`.
-#[inline]
-fn overlay_base_group<'a>(
-    rep: Option<&'a Replica>,
-    key: Id,
-    cursor: &mut WalkCursor,
-    stats: &mut SearchStats,
-) -> Group<'a> {
-    match rep {
-        Some(r) => {
-            stats.group_probes += 1;
-            match r.position_of(key) {
-                Some(pos) => r.group_at_cursor(pos, cursor),
-                None => Group::Raw(&[]),
-            }
-        }
-        None => Group::Raw(&[]),
+/// A value group a worker binds from or probes: a clean replica's
+/// [`Group`] or a delta-dirtied view's [`MergedGroup`].
+/// [`Worker::step`] is generic over it and monomorphised, so the clean
+/// path compiles to a plain replica probe.
+trait ProbeGroup<'a>: Copy {
+    /// The group's values in increasing order.
+    type Values: Iterator<Item = Id>;
+
+    /// True when the key has no group at all, so the step ends before
+    /// any membership check is made or counted.
+    fn absent(&self) -> bool;
+
+    /// Iterates the group's values in increasing order.
+    fn values(&self) -> Self::Values;
+
+    /// Membership of `value`, counting one group probe per sorted run
+    /// searched.
+    fn probe(&self, value: Id, stats: &mut SearchStats) -> bool;
+}
+
+impl<'a> ProbeGroup<'a> for Group<'a> {
+    type Values = GroupIter<'a>;
+
+    #[inline]
+    fn absent(&self) -> bool {
+        self.is_empty()
+    }
+
+    #[inline]
+    fn values(&self) -> GroupIter<'a> {
+        self.iter()
+    }
+
+    /// Binary search on raw groups, skip-table block pick plus a
+    /// streaming block walk on packed ones.
+    #[inline]
+    fn probe(&self, value: Id, stats: &mut SearchStats) -> bool {
+        stats.group_probes += 1;
+        self.contains(value)
     }
 }
 
-/// Membership in the merged view `(base ∪ add) \ del` of one key's
-/// groups. Runs are sorted and obey the overlay invariants (`add`
-/// disjoint from `base`, `del` ⊆ `base`).
-#[inline]
-fn merged_group_contains(
-    base_group: Group<'_>,
-    add_group: &[Id],
-    del_group: &[Id],
-    value: Id,
-    stats: &mut SearchStats,
-) -> bool {
-    if !del_group.is_empty() && group_contains(del_group, value, stats) {
-        return false;
+impl<'a> ProbeGroup<'a> for MergedGroup<'a> {
+    type Values = MergedIter<'a>;
+
+    /// The key is in neither the base nor the add run. A key whose base
+    /// values are all tombstoned is present: its checks run and count.
+    #[inline]
+    fn absent(&self) -> bool {
+        self.base.is_empty() && self.add.is_empty()
     }
-    group_probe(base_group, value, stats)
-        || (!add_group.is_empty() && group_contains(add_group, value, stats))
+
+    #[inline]
+    fn values(&self) -> MergedIter<'a> {
+        self.iter()
+    }
+
+    #[inline]
+    fn probe(&self, value: Id, stats: &mut SearchStats) -> bool {
+        let (hit, runs) = MergedGroup::probe(self, value);
+        stats.group_probes += runs;
+        hit
+    }
 }
 
 /// Worker-local execution state; one per thread. The only shared
@@ -713,151 +742,98 @@ impl<'a, S: Sink> Worker<'a, S> {
             return;
         }
         let ctx = &self.ctxs[depth];
-        let source = ctx.source;
-        let threshold = ctx.threshold;
-        let mode = ctx.mode;
-        let key_id = match mode.key {
+        let (source, threshold, mode) = (ctx.source, ctx.threshold, ctx.mode);
+        let key = match mode.key {
             KeyMode::Const(c) => c,
             KeyMode::Var(v) => self.bindings[v as usize],
         };
-        let (replica, add, del) = match source {
-            ReplicaView::Clean(replica) => (Some(replica), None, None),
-            ReplicaView::Dirty { base, add, del } => (base, add, del),
-        };
-        let base_group: Group<'a> = match replica {
-            Some(replica) => match adaptive_search(
-                replica.keys(),
-                key_id,
-                &mut self.cursors[depth],
-                threshold,
-                self.strategy,
-                replica.idpos(),
-                &mut self.step_stats[depth],
-            ) {
-                Some(pos) => replica.group_at_cursor(pos, &mut self.walks[depth]),
-                None => Group::Raw(&[]),
-            },
+        match source {
+            ReplicaView::Clean(replica) => {
+                let group = self.search(replica, key, depth, threshold);
+                self.step(group, mode.value, key, depth, depth + 1);
+            }
+            ReplicaView::Dirty { base, add, del } => {
+                // Merge the delta runs into the probe on the fly.
+                let base = match base {
+                    Some(replica) => self.search(replica, key, depth, threshold),
+                    None => Group::Raw(&[]),
+                };
+                let stats = &mut self.step_stats[depth];
+                let group = MergedGroup {
+                    base,
+                    add: overlay_group(add, key, stats),
+                    del: overlay_group(del, key, stats),
+                };
+                self.step(group, mode.value, key, depth, depth + 1);
+            }
+        }
+    }
+
+    /// Algorithm 1's adaptive search for `key` in `replica`, continuing
+    /// probe step `depth`'s cursors; the key's group, or an empty one.
+    #[inline]
+    fn search(
+        &mut self,
+        replica: &'a Replica,
+        key: Id,
+        depth: usize,
+        threshold: i64,
+    ) -> Group<'a> {
+        match adaptive_search(
+            replica.keys(),
+            key,
+            &mut self.cursors[depth],
+            threshold,
+            self.strategy,
+            replica.idpos(),
+            &mut self.step_stats[depth],
+        ) {
+            Some(pos) => replica.group_at_cursor(pos, &mut self.walks[depth]),
             None => Group::Raw(&[]),
-        };
-        if add.is_none() && del.is_none() {
-            // Clean path: the group is exactly the replica's, and an
-            // absent key short-circuits like it always did.
-            if base_group.is_empty() {
+        }
+    }
+
+    /// Applies one step's value mode to `key`'s `group` and descends
+    /// into `next` for each binding that survives. Probe step `d` calls
+    /// it with `slot = d` and `next = d + 1`; the key-scan driver with
+    /// its trailing stats slot and `next = 0`.
+    #[inline]
+    fn step<G: ProbeGroup<'a>>(
+        &mut self,
+        group: G,
+        mode: ValueMode,
+        key: Id,
+        slot: usize,
+        next: usize,
+    ) {
+        if group.absent() {
+            return;
+        }
+        let value = match mode {
+            ValueMode::Bind(v) => {
+                // The iterator borrows from the replica ('a), not from
+                // `self`, so recursion is free to re-borrow.
+                for val in group.values() {
+                    self.bindings[v as usize] = val;
+                    self.descend(next);
+                }
                 return;
             }
-            match mode.value {
-                ValueMode::Bind(v) => {
-                    // The iterator borrows from the replica ('a), not
-                    // from `self`, so recursion is free to re-borrow.
-                    for val in base_group.iter() {
-                        self.bindings[v as usize] = val;
-                        self.descend(depth + 1);
-                    }
-                }
-                ValueMode::CheckVar(v) => {
-                    if group_probe(
-                        base_group,
-                        self.bindings[v as usize],
-                        &mut self.step_stats[depth],
-                    ) {
-                        self.descend(depth + 1);
-                    }
-                }
-                ValueMode::CheckConst(c) => {
-                    if group_probe(base_group, c, &mut self.step_stats[depth]) {
-                        self.descend(depth + 1);
-                    }
-                }
-                ValueMode::CheckEqKey => {
-                    if group_probe(base_group, key_id, &mut self.step_stats[depth]) {
-                        self.descend(depth + 1);
-                    }
-                }
-            }
-            return;
-        }
-        // Dirty path: merge the delta runs into the probe on the fly.
-        let add_group = overlay_group(add, key_id, &mut self.step_stats[depth]);
-        let del_group = overlay_group(del, key_id, &mut self.step_stats[depth]);
-        if base_group.is_empty() && add_group.is_empty() {
-            return;
-        }
-        match mode.value {
-            ValueMode::Bind(v) => {
-                self.bind_merged(depth + 1, v, base_group, add_group, del_group);
-            }
-            ValueMode::CheckVar(v) => {
-                if merged_group_contains(
-                    base_group,
-                    add_group,
-                    del_group,
-                    self.bindings[v as usize],
-                    &mut self.step_stats[depth],
-                ) {
-                    self.descend(depth + 1);
-                }
-            }
-            ValueMode::CheckConst(c) => {
-                if merged_group_contains(
-                    base_group,
-                    add_group,
-                    del_group,
-                    c,
-                    &mut self.step_stats[depth],
-                ) {
-                    self.descend(depth + 1);
-                }
-            }
-            ValueMode::CheckEqKey => {
-                if merged_group_contains(
-                    base_group,
-                    add_group,
-                    del_group,
-                    key_id,
-                    &mut self.step_stats[depth],
-                ) {
-                    self.descend(depth + 1);
-                }
-            }
+            ValueMode::CheckVar(v) => self.bindings[v as usize],
+            ValueMode::CheckConst(c) => c,
+            ValueMode::CheckEqKey => key,
+        };
+        if group.probe(value, &mut self.step_stats[slot]) {
+            self.descend(next);
         }
     }
 
-    /// Binds `var` to each value of the merged view `(base ∪ add) \ del`
-    /// **in sorted order** — the order a compacted replica would yield —
-    /// and descends into `next_depth` for each. Sorted-run two-pointer
-    /// merge; no allocation.
-    fn bind_merged(
-        &mut self,
-        next_depth: usize,
-        var: VarId,
-        base_group: Group<'a>,
-        add_group: &'a [Id],
-        del_group: &'a [Id],
-    ) {
-        let mut ai = 0;
-        let mut di = 0;
-        for val in base_group.iter() {
-            if di < del_group.len() && del_group[di] == val {
-                di += 1;
-                continue;
-            }
-            while ai < add_group.len() && add_group[ai] < val {
-                self.bindings[var as usize] = add_group[ai];
-                ai += 1;
-                self.descend(next_depth);
-            }
-            self.bindings[var as usize] = val;
-            self.descend(next_depth);
-        }
-        while ai < add_group.len() {
-            self.bindings[var as usize] = add_group[ai];
-            ai += 1;
-            self.descend(next_depth);
-        }
-    }
-
-    /// Processes one shard `[lo, hi)` of the driver domain.
+    /// Processes one morsel `[lo, hi)` of the driver domain.
     fn run_range(&mut self, driver: &ResolvedDriver<'a>, lo: usize, hi: usize) {
+        // Driver-side checks count in the trailing stats slot; the
+        // driver replica's walk cursor is the trailing walk slot.
+        let slot = self.ctxs.len() + 1;
+        let walk = self.ctxs.len();
         match driver {
             ResolvedDriver::Keys {
                 replica,
@@ -871,27 +847,8 @@ impl<'a, S: Sink> Worker<'a, S> {
                     self.tick();
                     let key = replica.key_at(pos);
                     self.bindings[*bind_key as usize] = key;
-                    let group = replica.group_at_cursor(pos, &mut self.walks[self.ctxs.len()]);
-                    match *value {
-                        DriverValue::Bind(v) => {
-                            for val in group.iter() {
-                                self.bindings[v as usize] = val;
-                                self.descend(0);
-                            }
-                        }
-                        DriverValue::CheckConst(c) => {
-                            let slot = self.ctxs.len() + 1;
-                            if group_probe(group, c, &mut self.step_stats[slot]) {
-                                self.descend(0);
-                            }
-                        }
-                        DriverValue::CheckEqKey => {
-                            let slot = self.ctxs.len() + 1;
-                            if group_probe(group, key, &mut self.step_stats[slot]) {
-                                self.descend(0);
-                            }
-                        }
-                    }
+                    let group = replica.group_at_cursor(pos, &mut self.walks[walk]);
+                    self.step(group, *value, key, slot, 0);
                 }
             }
             ResolvedDriver::DirtyKeys {
@@ -902,7 +859,6 @@ impl<'a, S: Sink> Worker<'a, S> {
                 bind_key,
                 value,
             } => {
-                let slot = self.ctxs.len() + 1;
                 for &key in &keys[lo..hi] {
                     if self.stop {
                         break;
@@ -912,41 +868,23 @@ impl<'a, S: Sink> Worker<'a, S> {
                     // Dirty drivers pay one binary search per run and
                     // key (the merged key list has no positions into
                     // any single replica).
-                    let base_group = overlay_base_group(
-                        *base,
-                        key,
-                        &mut self.walks[self.ctxs.len()],
-                        &mut self.step_stats[slot],
-                    );
-                    let add_group = overlay_group(*add, key, &mut self.step_stats[slot]);
-                    let del_group = overlay_group(*del, key, &mut self.step_stats[slot]);
-                    match *value {
-                        DriverValue::Bind(v) => {
-                            self.bind_merged(0, v, base_group, add_group, del_group);
-                        }
-                        DriverValue::CheckConst(c) => {
-                            if merged_group_contains(
-                                base_group,
-                                add_group,
-                                del_group,
-                                c,
-                                &mut self.step_stats[slot],
-                            ) {
-                                self.descend(0);
+                    let stats = &mut self.step_stats[slot];
+                    let base = match base {
+                        Some(r) => {
+                            stats.group_probes += 1;
+                            match r.position_of(key) {
+                                Some(pos) => r.group_at_cursor(pos, &mut self.walks[walk]),
+                                None => Group::Raw(&[]),
                             }
                         }
-                        DriverValue::CheckEqKey => {
-                            if merged_group_contains(
-                                base_group,
-                                add_group,
-                                del_group,
-                                key,
-                                &mut self.step_stats[slot],
-                            ) {
-                                self.descend(0);
-                            }
-                        }
-                    }
+                        None => Group::Raw(&[]),
+                    };
+                    let group = MergedGroup {
+                        base,
+                        add: overlay_group(*add, key, stats),
+                        del: overlay_group(*del, key, stats),
+                    };
+                    self.step(group, *value, key, slot, 0);
                 }
             }
             ResolvedDriver::Group { group, bind_value } => {
@@ -967,27 +905,16 @@ impl<'a, S: Sink> Worker<'a, S> {
     }
 }
 
-/// A [`StoreView`] over `store` plus an optional delta overlay — the
-/// executor's uniform entry shape for clean and dirty stores.
-fn make_view<'a>(
-    store: &'a TripleStore,
-    delta: Option<&'a DeltaOverlay>,
-) -> StoreView<'a> {
-    match delta {
-        Some(d) => StoreView::with_delta(store, d),
-        None => StoreView::base_only(store),
-    }
-}
-
 /// Resolves replicas and the driver; `None` when a referenced predicate
 /// has no partition (empty result). A driver domain that must be
 /// materialized (a packed constant-key group, or a delta-dirtied driver
 /// predicate) is taken from `shared` when another participant already
-/// built it, so each query materializes it once.
+/// built it, so each query materializes it once — and sizes its run
+/// from that same build.
 fn prepare_exec<'a>(
     view: StoreView<'a>,
     plan: &PhysicalPlan,
-    opts: &ExecOptions,
+    strategy: ProbeStrategy,
     thresholds: &ThresholdTable,
     shared: Option<&Arc<Vec<Id>>>,
 ) -> Option<(Vec<StepCtx<'a>>, ResolvedDriver<'a>)> {
@@ -1003,7 +930,7 @@ fn prepare_exec<'a>(
     for (step, mode) in plan.steps.iter().skip(1).zip(&plan.compiled) {
         let source = view.replica(step.predicate, step.order)?;
         let t = thresholds.get(step.predicate, step.order);
-        let threshold = match opts.strategy {
+        let threshold = match strategy {
             ProbeStrategy::AdaptiveIndex => t.index,
             _ => t.binary,
         };
@@ -1059,10 +986,24 @@ fn prepare_exec<'a>(
     Some((ctxs, driver))
 }
 
-/// Runs the plan single-threaded over the morsel grid a run with
-/// `opts` executes (the same `grid_size` cut of the driver domain),
-/// returning each morsel's **work units** (rows emitted + array words
-/// touched).
+/// Participants a run over a `domain`-key driver gets. §3 suggests
+/// that "very simple and selective queries could be executed with
+/// fewer resources": a driver below [`ExecOptions::small_query_threshold`]
+/// keys runs on one participant, where the hand-off to helpers would
+/// cost more than the query itself (the overhead §5.2.3 discusses).
+/// Anything larger gets [`ExecOptions::threads`].
+fn participants(opts: &ExecOptions, domain: usize) -> usize {
+    if domain < opts.small_query_threshold {
+        1
+    } else {
+        opts.threads
+    }
+}
+
+/// Runs the plan on one participant over the morsel grid a run with
+/// `opts` executes (the same `grid_size` cut of the driver domain,
+/// after the small-query rule), returning each morsel's **work units**
+/// (rows emitted + array words touched).
 ///
 /// Workers draw morsels dynamically from one atomic cursor, so on
 /// ideal hardware the parallel makespan with `K` threads is bounded
@@ -1078,28 +1019,18 @@ fn prepare_exec<'a>(
 /// panics.
 pub fn morsel_loads(
     store: &TripleStore,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> Result<Vec<u64>, ExecOptionsError> {
-    morsel_loads_view(store, None, plan, opts, thresholds)
-}
-
-/// [`morsel_loads`] over a store plus an optional delta overlay.
-pub fn morsel_loads_view(
-    store: &TripleStore,
     delta: Option<&DeltaOverlay>,
     plan: &PhysicalPlan,
     opts: &ExecOptions,
     thresholds: &ThresholdTable,
 ) -> Result<Vec<u64>, ExecOptionsError> {
     opts.validate()?;
-    let view = make_view(store, delta);
-    let Some((ctxs, driver)) = prepare_exec(view, plan, opts, thresholds, None) else {
+    let view = StoreView::new(store, delta);
+    let Some((ctxs, driver)) = prepare_exec(view, plan, opts.strategy, thresholds, None) else {
         return Ok(Vec::new());
     };
     let domain = driver.domain();
-    let size = grid_size(domain, opts.threads, opts.morsel_size);
+    let size = grid_size(domain, participants(opts, domain), opts.morsel_size);
     let guard = QueryGuard::unlimited();
     let mut worker = Worker::new(&ctxs, opts.strategy, plan, CountSink::default(), &guard);
     let mut loads = Vec::new();
@@ -1114,106 +1045,6 @@ pub fn morsel_loads_view(
         lo = hi;
     }
     Ok(loads)
-}
-
-/// Size of the driver domain `plan` would scan — the number of keys of
-/// the first replica, or the group length of a constant key (Example
-/// 3.2). The engine uses this to implement §3's suggested extension
-/// that "very simple and selective queries could be executed with fewer
-/// resources": when the domain is tiny, spawning a full thread
-/// complement costs more than the query itself.
-pub fn driver_domain(store: &TripleStore, plan: &PhysicalPlan, opts: &ExecOptions) -> usize {
-    driver_domain_view(store, None, plan, opts)
-}
-
-/// [`driver_domain`] over a store plus an optional delta overlay (a
-/// dirty driver predicate scans the union of base and add keys).
-pub fn driver_domain_view(
-    store: &TripleStore,
-    delta: Option<&DeltaOverlay>,
-    plan: &PhysicalPlan,
-    _opts: &ExecOptions,
-) -> usize {
-    let view = make_view(store, delta);
-    // Like `prepare_exec`, a plan naming a predicate without a partition
-    // has an empty domain.
-    if plan.steps.iter().any(|s| view.replica(s.predicate, s.order).is_none()) {
-        return 0;
-    }
-    let step0 = &plan.steps[0];
-    let Some(driver_source) = view.replica(step0.predicate, step0.order) else {
-        return 0;
-    };
-    // Sized without materializing: the executor builds a packed or
-    // dirty driver domain only once it runs.
-    match (plan.driver, driver_source) {
-        (DriverMode::ScanKeys { .. }, ReplicaView::Clean(replica)) => replica.num_keys(),
-        (DriverMode::ScanKeys { .. }, dirty) => dirty.merged_keys().len(),
-        (DriverMode::ScanGroup { key, .. }, ReplicaView::Clean(replica)) => {
-            replica.group_for_key(key).len()
-        }
-        (DriverMode::ScanGroup { key, .. }, dirty) => {
-            let mut values = Vec::new();
-            dirty.merged_values_into(key, &mut values);
-            values.len()
-        }
-        (DriverMode::Existence { .. }, _) => 1,
-    }
-}
-
-/// Per-step execution profile of one plan (an `EXPLAIN ANALYZE`).
-#[derive(Debug, Clone, Default)]
-pub struct PlanProfile {
-    /// `rows[d]` = binding tuples entering probe step `d`
-    /// (`rows[num_probe_steps]` = result rows emitted).
-    pub rows: Vec<u64>,
-    /// Search counters per probe step (parallel to the plan's probe
-    /// steps; driver-side group checks are in `driver`).
-    pub step_search: Vec<SearchStats>,
-    /// Driver-side counters (group membership checks of Example 3.2
-    /// style drivers).
-    pub driver: SearchStats,
-}
-
-impl PlanProfile {
-    /// Result rows the plan emitted.
-    pub fn results(&self) -> u64 {
-        self.rows.last().copied().unwrap_or(0)
-    }
-}
-
-/// Runs the plan single-threaded and returns its per-step profile —
-/// rows flowing between pipeline stages and the search decisions each
-/// probe step made. The diagnostics counterpart of `explain`.
-pub fn execute_profiled(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> PlanProfile {
-    execute_profiled_view(store, None, plan, opts, thresholds)
-}
-
-/// [`execute_profiled`] over a store plus an optional delta overlay.
-pub fn execute_profiled_view(
-    store: &TripleStore,
-    delta: Option<&DeltaOverlay>,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> PlanProfile {
-    let view = make_view(store, delta);
-    let Some((ctxs, driver)) = prepare_exec(view, plan, opts, thresholds, None) else {
-        return PlanProfile::default();
-    };
-    let guard = QueryGuard::unlimited();
-    let mut worker = Worker::new(&ctxs, opts.strategy, plan, CountSink::default(), &guard);
-    worker.run_range(&driver, 0, driver.domain());
-    PlanProfile {
-        rows: worker.step_rows,
-        step_search: worker.step_stats[..ctxs.len()].to_vec(),
-        driver: worker.step_stats[ctxs.len() + 1],
-    }
 }
 
 /// Immutable per-run shape every participant shares: resolved probe
@@ -1287,6 +1118,42 @@ where
         trip: w.trip,
         step_stats: w.step_stats,
         step_rows: w.step_rows,
+    }
+}
+
+/// What the participants of one run hand back, behind a mutex:
+/// finished participants push their outputs; the coordinator drains it
+/// once no participant is still running.
+struct RunOutput<S> {
+    parts: Vec<ParticipantOutput<S>>,
+    panicked: Option<String>,
+}
+
+/// Runs one participant with its panic contained: a panic trips the
+/// shared guard (stopping siblings at their next poll) and is recorded
+/// for the coordinator's merge, so it never unwinds a pool worker or
+/// the caller.
+fn run_contained<S, F>(
+    shape: &RunShape<'_>,
+    guard: &QueryGuard,
+    cursor: &AtomicUsize,
+    factory: &F,
+    output: &OrderedMutex<RunOutput<S>>,
+) where
+    S: Sink,
+    F: Fn() -> S,
+{
+    match std::panic::catch_unwind(AssertUnwindSafe(|| {
+        run_participant(shape, guard, cursor, factory)
+    })) {
+        Ok(p) => output.lock().parts.push(p),
+        Err(payload) => {
+            guard.cancel();
+            let mut out = output.lock();
+            if out.panicked.is_none() {
+                out.panicked = Some(panic_message(payload.as_ref()));
+            }
+        }
     }
 }
 
@@ -1398,191 +1265,32 @@ fn invalid_options(e: ExecOptionsError) -> Box<ExecFailure> {
     })
 }
 
-/// Executes `plan` against `store` with per-query scoped threads (or
-/// inline when `opts.threads == 1`), creating sinks via `factory`, and
-/// returns the morsel-ordered sinks plus merged search counters.
+/// Executes `plan` against `store` (plus an optional delta overlay),
+/// creating sinks via `factory`, and returns the morsel-ordered sinks
+/// plus merged search counters.
+///
+/// The plan is resolved once, on the calling thread. A run that gets
+/// one participant — one thread, a driver below the small-query
+/// threshold, or a single morsel — executes inline and touches no pool.
+/// Otherwise the calling thread participates and up to `participants −
+/// 1` idle workers of `pool` join it, pulling morsels off the run's
+/// shared cursor; with no `pool`, a [`WorkerPool`] is made for this
+/// call and dropped (its threads joined) before it returns.
+///
+/// Pool participants are `'static` jobs, so the execution context
+/// arrives as `Arc`s; each helper re-derives the read-only probe
+/// contexts from them (cheap replica lookups) and shares the caller's
+/// materialized driver domain. Probes on delta-touched predicates merge
+/// the resident add/del runs on the fly; untouched predicates keep the
+/// zero-overhead clean path.
 ///
 /// Concatenating the returned sinks yields rows in driver-domain
-/// order — deterministic across thread counts and morsel sizes. This
-/// is the pool-less fallback path; engines with a persistent
-/// [`WorkerPool`](crate::WorkerPool) use [`execute_pooled`] instead.
+/// order — byte-identical across thread counts, morsel sizes, pools and
+/// a compacted store. A participant panic fails only this query: it is
+/// caught, cancels the query's guard, and surfaces as
+/// [`ExecFailureKind::WorkerPanicked`].
 pub fn execute<S, F>(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-    factory: F,
-) -> ExecResult<(Vec<S>, SearchStats)>
-where
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
-    execute_view(store, None, plan, opts, thresholds, factory)
-}
-
-/// [`execute`] over a store plus an optional delta overlay: probes on
-/// delta-touched predicates merge the resident add/del runs on the
-/// fly; untouched predicates keep the zero-overhead clean path. The
-/// merged iteration order equals a compacted store's replica order, so
-/// results stay byte-identical to a full rebuild at any threads ×
-/// morsel-size combination.
-pub fn execute_view<S, F>(
-    store: &TripleStore,
-    delta: Option<&DeltaOverlay>,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-    factory: F,
-) -> ExecResult<(Vec<S>, SearchStats)>
-where
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
-    if let Err(e) = opts.validate() {
-        return Err(invalid_options(e));
-    }
-    let view = make_view(store, delta);
-    let Some((ctxs, driver)) = prepare_exec(view, plan, opts, thresholds, None) else {
-        record_empty(opts);
-        return Ok((Vec::new(), SearchStats::default()));
-    };
-    execute_resolved(&ctxs, &driver, plan, opts, factory)
-}
-
-/// Runs already-resolved probe contexts and driver on `opts.threads`
-/// scoped threads (inline at one).
-fn execute_resolved<S, F>(
-    ctxs: &[StepCtx<'_>],
-    driver: &ResolvedDriver<'_>,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    factory: F,
-) -> ExecResult<(Vec<S>, SearchStats)>
-where
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
-    // Every run is guarded: callers without limits get a private
-    // unlimited guard so a panicking worker can still cancel siblings.
-    let own_guard;
-    let guard: &QueryGuard = match &opts.guard {
-        Some(g) => g,
-        None => {
-            own_guard = QueryGuard::unlimited();
-            &own_guard
-        }
-    };
-
-    let domain = driver.domain();
-    let morsel_size = grid_size(domain, opts.threads, opts.morsel_size);
-    let shape = RunShape {
-        ctxs,
-        driver,
-        plan,
-        strategy: opts.strategy,
-        morsel_size,
-        domain,
-    };
-    let cursor = AtomicUsize::new(0);
-    // Workers beyond the morsel count would only spin the cursor once
-    // and exit; don't spawn them.
-    let num_morsels = domain.div_ceil(morsel_size).max(1);
-    let threads = opts.threads.min(num_morsels);
-
-    let mut parts: Vec<ParticipantOutput<S>> = Vec::with_capacity(threads);
-    let mut panicked: Option<String> = None;
-    if threads <= 1 {
-        // A panic is contained, trips the guard, and surfaces as
-        // `WorkerPanicked` instead of aborting the process. The store
-        // is read-only during execution, so it stays usable.
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_participant(&shape, guard, &cursor, &factory)
-        })) {
-            Ok(p) => parts.push(p),
-            Err(payload) => {
-                guard.cancel();
-                panicked = Some(panic_message(payload.as_ref()));
-            }
-        }
-    } else {
-        parj_sync::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let shape = &shape;
-                    let factory = &factory;
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        // Contained per worker: a panic trips the
-                        // shared guard so siblings stop at their next
-                        // poll, then surfaces as `WorkerPanicked`.
-                        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            run_participant(shape, guard, cursor, factory)
-                        }));
-                        if result.is_err() {
-                            guard.cancel();
-                        }
-                        result
-                    })
-                })
-                .collect();
-            for h in handles {
-                // A panic inside the closure is already caught; a join
-                // error can only carry a payload from the thread
-                // runtime itself — fold it into the same per-worker
-                // Err path instead of panicking here.
-                match h.join().unwrap_or_else(Err) {
-                    Ok(p) => parts.push(p),
-                    Err(payload) => {
-                        panicked = Some(panic_message(payload.as_ref()));
-                    }
-                }
-            }
-        });
-    }
-    merge_participants(parts, panicked, opts, guard, ctxs.len(), morsel_size)
-}
-
-/// Shared mutable state of one pooled job, behind a mutex: finished
-/// participants push their outputs; the submitter drains it after the
-/// pool rendezvous guarantees no participant is still running.
-struct PooledOutput<S> {
-    parts: Vec<ParticipantOutput<S>>,
-    panicked: Option<String>,
-}
-
-/// Executes `plan` on an engine-owned persistent [`WorkerPool`]: the
-/// calling thread participates immediately and up to `threads − 1`
-/// idle pool workers join it, pulling morsels off the query's shared
-/// cursor. No threads are created or destroyed per query.
-///
-/// Participants are `'static` jobs, so the execution context arrives
-/// as `Arc`s; each participant re-derives the read-only probe contexts
-/// from them (cheap replica lookups). Results are identical to
-/// [`execute`] — the same morsel-ordered deterministic merge — and a
-/// participant panic fails only this query: the pool worker catches
-/// it, cancels the query's guard, and returns to service.
-pub fn execute_pooled<S, F>(
-    pool: &WorkerPool,
-    store: &Arc<TripleStore>,
-    plan: &Arc<PhysicalPlan>,
-    opts: &ExecOptions,
-    thresholds: &Arc<ThresholdTable>,
-    factory: F,
-) -> ExecResult<(Vec<S>, SearchStats)>
-where
-    S: Sink + Send + 'static,
-    F: Fn() -> S + Send + Sync + 'static,
-{
-    execute_pooled_view(pool, store, None, plan, opts, thresholds, factory)
-}
-
-/// [`execute_pooled`] over a store plus an optional delta overlay. The
-/// overlay crosses the `'static` job boundary as an `Arc` clone; each
-/// participant re-derives the same merged probe view, so pooled and
-/// spawned dirty runs stay byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_pooled_view<S, F>(
-    pool: &WorkerPool,
+    pool: Option<&WorkerPool>,
     store: &Arc<TripleStore>,
     delta: Option<&Arc<DeltaOverlay>>,
     plan: &Arc<PhysicalPlan>,
@@ -1594,114 +1302,89 @@ where
     S: Sink + Send + 'static,
     F: Fn() -> S + Send + Sync + 'static,
 {
-    if let Err(e) = opts.validate() {
-        return Err(invalid_options(e));
-    }
-    // Resolve on the submitting thread: unanswerable plans
-    // short-circuit without touching the pool, the driver domain sizes
-    // the helper request, and a driver domain that must be materialized
-    // is built here once and shared with every participant.
-    let view = make_view(store, delta.map(|d| d.as_ref()));
-    let Some((ctxs, driver)) = prepare_exec(view, plan, opts, thresholds, None) else {
+    opts.validate().map_err(invalid_options)?;
+    let view = StoreView::new(store, delta.map(|d| d.as_ref()));
+    let Some((ctxs, driver)) = prepare_exec(view, plan, opts.strategy, thresholds, None) else {
         record_empty(opts);
         return Ok((Vec::new(), SearchStats::default()));
     };
     let n_ctxs = ctxs.len();
     // Sized once here; every participant cuts the same grid.
-    let morsel_size = grid_size(driver.domain(), opts.threads, opts.morsel_size);
-    let num_morsels = driver.domain().div_ceil(morsel_size).max(1);
-    let helpers = opts.threads.saturating_sub(1).min(num_morsels - 1);
-    if helpers == 0 {
-        // Single-participant queries never touch the pool: run inline
-        // on the calling thread with what was just resolved.
-        let inline = ExecOptions {
-            threads: 1,
-            ..opts.clone()
-        };
-        return execute_resolved(&ctxs, &driver, plan, &inline, factory);
-    }
-    let shared_domain = driver.shared_domain();
-    drop((ctxs, driver));
+    let domain = driver.domain();
+    let participants = participants(opts, domain);
+    let morsel_size = grid_size(domain, participants, opts.morsel_size);
+    let helpers = participants.saturating_sub(1).min(domain.div_ceil(morsel_size).max(1) - 1);
 
+    // Every run is guarded: callers without limits get a private
+    // unlimited guard so a panicking participant still stops siblings.
     let guard: Arc<QueryGuard> = match &opts.guard {
         Some(g) => Arc::clone(g),
         None => Arc::new(QueryGuard::unlimited()),
     };
-    let output = Arc::new(parj_sync::OrderedMutex::new(
-        parj_sync::LockLevel::ExecOutput,
-        "exec.pooled_output",
-        PooledOutput::<S> {
+    let output = Arc::new(OrderedMutex::new(
+        LockLevel::ExecOutput,
+        "exec.run_output",
+        RunOutput::<S> {
             parts: Vec::new(),
             panicked: None,
         },
     ));
     let cursor = Arc::new(AtomicUsize::new(0));
-    let body: crate::pool::Participant = {
-        let store = Arc::clone(store);
-        let delta: Option<Arc<DeltaOverlay>> = delta.map(Arc::clone);
-        let plan = Arc::clone(plan);
-        let thresholds = Arc::clone(thresholds);
-        let guard = Arc::clone(&guard);
-        let output = Arc::clone(&output);
-        let cursor = Arc::clone(&cursor);
-        let factory = Arc::new(factory);
-        // Threshold selection in prepare_exec depends only on the
-        // strategy; strip the non-'static-irrelevant extras.
-        let probe_opts = ExecOptions {
-            guard: None,
-            recorder: None,
-            ..opts.clone()
+    if helpers == 0 {
+        let shape = RunShape {
+            ctxs: &ctxs,
+            driver: &driver,
+            plan,
+            strategy: opts.strategy,
+            morsel_size,
+            domain,
         };
-        Arc::new(move || {
-            // Each participant re-derives the read-only probe contexts
-            // from its own Arcs — nothing borrowed crosses the
-            // 'static job boundary — and shares the submitter's
-            // materialized driver domain.
-            let view = make_view(&store, delta.as_deref());
-            let Some((ctxs, driver)) = prepare_exec(
-                view,
-                &plan,
-                &probe_opts,
-                &thresholds,
-                shared_domain.as_ref(),
-            ) else {
-                return;
-            };
-            let shape = RunShape {
-                ctxs: &ctxs,
-                driver: &driver,
-                plan: &plan,
-                strategy: probe_opts.strategy,
-                morsel_size,
-                domain: driver.domain(),
-            };
-            // Contained per participant: a panic trips the shared
-            // guard (stopping siblings at their next poll), is
-            // recorded for the submitter's merge, and never unwinds
-            // the pool worker.
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_participant(&shape, &guard, &cursor, factory.as_ref())
-            }));
-            match result {
-                Ok(p) => output.lock().parts.push(p),
-                Err(payload) => {
-                    guard.cancel();
-                    let mut out = output.lock();
-                    if out.panicked.is_none() {
-                        out.panicked = Some(panic_message(payload.as_ref()));
-                    }
-                }
-            }
-        })
+        run_contained(&shape, &guard, &cursor, &factory, &output);
+    } else {
+        let shared_domain = driver.shared_domain();
+        drop((ctxs, driver));
+        let body: Participant = {
+            let store = Arc::clone(store);
+            let delta: Option<Arc<DeltaOverlay>> = delta.map(Arc::clone);
+            let plan = Arc::clone(plan);
+            let thresholds = Arc::clone(thresholds);
+            let guard = Arc::clone(&guard);
+            let output = Arc::clone(&output);
+            let cursor = Arc::clone(&cursor);
+            let strategy = opts.strategy;
+            Arc::new(move || {
+                // Nothing borrowed crosses the 'static job boundary:
+                // each participant re-derives the probe contexts from
+                // its own Arcs and shares the caller's driver domain.
+                let view = StoreView::new(&store, delta.as_deref());
+                let Some((ctxs, driver)) =
+                    prepare_exec(view, &plan, strategy, &thresholds, shared_domain.as_ref())
+                else {
+                    return;
+                };
+                let shape = RunShape {
+                    ctxs: &ctxs,
+                    driver: &driver,
+                    plan: &plan,
+                    strategy,
+                    morsel_size,
+                    domain,
+                };
+                run_contained(&shape, &guard, &cursor, &factory, &output);
+            })
+        };
+        // The pool's rendezvous returns only after every participant
+        // that joined has finished, so draining `output` afterwards
+        // sees the complete set.
+        match pool {
+            Some(pool) => pool.run(helpers, body),
+            None => WorkerPool::new(helpers).run(helpers, body),
+        }
+    }
+    let (parts, panicked) = {
+        let mut out = output.lock();
+        (std::mem::take(&mut out.parts), out.panicked.take())
     };
-    // The pool's rendezvous returns only after every participant that
-    // joined has finished, so draining `output` afterwards sees the
-    // complete set.
-    pool.run(helpers, body);
-    let mut locked = output.lock();
-    let parts = std::mem::take(&mut locked.parts);
-    let panicked = locked.panicked.take();
-    drop(locked);
     merge_participants(parts, panicked, opts, &guard, n_ctxs, morsel_size)
 }
 
@@ -1711,41 +1394,37 @@ pub fn default_thresholds(store: &TripleStore) -> ThresholdTable {
     ThresholdTable::from_calibration(store, &CalibrationResult::paper_defaults())
 }
 
-/// Silent-mode execution: returns only the result count (and counters).
+/// Silent-mode execution: [`execute`] with counting sinks, returning
+/// only the result count (and counters).
 pub fn execute_count(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
+    pool: Option<&WorkerPool>,
+    store: &Arc<TripleStore>,
+    delta: Option<&Arc<DeltaOverlay>>,
+    plan: &Arc<PhysicalPlan>,
     opts: &ExecOptions,
+    thresholds: &Arc<ThresholdTable>,
 ) -> ExecResult<(u64, SearchStats)> {
-    let thresholds = default_thresholds(store);
-    execute_count_with(store, plan, opts, &thresholds)
-}
-
-/// Silent-mode execution with caller-supplied thresholds.
-pub fn execute_count_with(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
-    opts: &ExecOptions,
-    thresholds: &ThresholdTable,
-) -> ExecResult<(u64, SearchStats)> {
-    let (sinks, stats) = execute(store, plan, opts, thresholds, CountSink::default)?;
+    let (sinks, stats) = execute(pool, store, delta, plan, opts, thresholds, CountSink::default)?;
     Ok((sinks.iter().map(|s| s.count).sum(), stats))
 }
 
-/// Materializing execution: collects all result rows (order unspecified
-/// across workers) into one flat [`crate::RowBatch`] — worker sink buffers are
-/// concatenated wholesale, never exploded into per-row allocations.
+/// Materializing execution: [`execute`] with collecting sinks, whose
+/// buffers are concatenated in morsel order — driver-domain order, the
+/// same at every thread count — into one flat [`crate::RowBatch`],
+/// never exploded into per-row allocations.
 ///
 /// Zero-arity plans (pure existence) carry no id payload; the batch
 /// still reports the real match count through its explicit zero-arity
 /// row counter.
 pub fn execute_collect(
-    store: &TripleStore,
-    plan: &PhysicalPlan,
+    pool: Option<&WorkerPool>,
+    store: &Arc<TripleStore>,
+    delta: Option<&Arc<DeltaOverlay>>,
+    plan: &Arc<PhysicalPlan>,
     opts: &ExecOptions,
+    thresholds: &Arc<ThresholdTable>,
 ) -> ExecResult<(crate::RowBatch, SearchStats)> {
-    let thresholds = default_thresholds(store);
-    let (sinks, stats) = execute(store, plan, opts, &thresholds, CollectSink::default)?;
+    let (sinks, stats) = execute(pool, store, delta, plan, opts, thresholds, CollectSink::default)?;
     let arity = plan.projection.len();
     let mut rows = crate::RowBatch::new(arity);
     for sink in &sinks {
@@ -1765,6 +1444,16 @@ mod tests {
     use parj_dict::Term;
     use parj_store::{SortOrder, StoreBuilder};
 
+    /// [`execute_count`] without a pool or overlay, default thresholds.
+    fn run_count(
+        store: &Arc<TripleStore>,
+        plan: &PhysicalPlan,
+        opts: &ExecOptions,
+    ) -> ExecResult<(u64, SearchStats)> {
+        let thresholds = Arc::new(default_thresholds(store));
+        execute_count(None, store, None, &Arc::new(plan.clone()), opts, &thresholds)
+    }
+
     /// Addresses of the plans whose driver domain was materialized, one
     /// entry per materialization. Tests run concurrently, so each test
     /// counts only entries for a plan it owns.
@@ -1782,11 +1471,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_driver_domain_is_materialized_once_per_query() {
+    fn driver_is_materialized_once_per_query() {
         // A packed constant-key group and a delta-dirtied key scan both
         // need their driver domain built before morsels can slice it.
-        // The submitter builds it once and every pool participant shares
-        // it, at any helper count.
+        // The caller builds it once — the same build sizes the run for
+        // the small-query rule — and every pool participant shares it,
+        // at any helper count.
         let mut b = StoreBuilder::new();
         for i in 0..2000u32 {
             b.add_term_triple(&Term::iri("hub"), &Term::iri("p0"), &Term::iri(format!("m{i}")));
@@ -1822,7 +1512,7 @@ mod tests {
         let mut delta = parj_store::DeltaOverlay::new(&store);
         delta.apply_pred(&store, p1, &[(rid(&store, "m5"), rid(&store, "t9"))], &[]);
         let delta = Arc::new(delta);
-        // ?m p1 ?t with p1 dirty: a DirtyKeys driver.
+        // ?m p1 ?t with p1 dirty: a DirtyKeys driver of 2 000 keys.
         let dirty_plan = Arc::new(
             PhysicalPlan::new(
                 vec![PlanStep {
@@ -1838,15 +1528,32 @@ mod tests {
         );
         let thresholds = Arc::new(default_thresholds(&store));
         let pool = WorkerPool::new(3);
-        for (plan, delta) in [(&group_plan, None), (&dirty_plan, Some(&delta))] {
+        let spread = ExecOptions {
+            threads: 4,
+            morsel_size: 7,
+            ..ExecOptions::default()
+        };
+        // The engine's default small-query rule at two threads: the
+        // 2 000-key dirty driver is below 2 048 keys, so the run gets
+        // one participant — sized from the one build it runs on.
+        let small = ExecOptions {
+            threads: 2,
+            small_query_threshold: 2048,
+            ..ExecOptions::default()
+        };
+        for (plan, delta, opts, inline) in [
+            (&group_plan, None, &spread, false),
+            (&dirty_plan, Some(&delta), &spread, false),
+            (&dirty_plan, Some(&delta), &small, true),
+        ] {
+            let rec = Arc::new(CaptureRecorder::default());
             let opts = ExecOptions {
-                threads: 4,
-                morsel_size: 7,
-                ..ExecOptions::default()
+                recorder: Some(Arc::clone(&rec) as Arc<dyn Recorder>),
+                ..opts.clone()
             };
             let before = materializations(plan);
-            let (sinks, _) = execute_pooled_view(
-                &pool,
+            let (sinks, _) = execute(
+                Some(&pool),
                 &store,
                 delta,
                 plan,
@@ -1856,16 +1563,18 @@ mod tests {
             )
             .expect("pooled run");
             assert_eq!(materializations(plan) - before, 1, "one build per query");
-            let pooled: Vec<Id> = sinks.iter().flat_map(|s| s.data.iter().copied()).collect();
-            let scoped = collect_rows(&store, delta.map(|d| d.as_ref()), plan, &opts).concat();
-            assert_eq!(pooled, scoped);
-            assert!(!pooled.is_empty());
+            let morsels = rec.seen.lock().unwrap()[0].5;
+            assert_eq!(morsels == 1, inline, "{morsels} morsels");
+            let rows: Vec<Id> = sinks.iter().flat_map(|s| s.data.iter().copied()).collect();
+            let one = collect_rows(&store, delta, plan, &ExecOptions::default()).concat();
+            assert_eq!(rows, one);
+            assert!(!rows.is_empty());
         }
     }
 
     /// A small university graph: professors teach courses and work for
     /// universities; students take courses and are advised by profs.
-    fn store() -> TripleStore {
+    fn store() -> Arc<TripleStore> {
         let mut b = StoreBuilder::new();
         let mut add = |s: &str, p: &str, o: &str| {
             b.add_term_triple(&Term::iri(s), &Term::iri(p), &Term::iri(o));
@@ -1893,7 +1602,7 @@ mod tests {
         for (stud, prof) in [("Stud1", "ProfA"), ("Stud2", "ProfA"), ("Stud3", "ProfC")] {
             add(stud, "advisor", prof);
         }
-        b.build()
+        Arc::new(b.build())
     }
 
     fn pid(store: &TripleStore, name: &str) -> Id {
@@ -1947,13 +1656,14 @@ mod tests {
     }
 
     fn check_plan_against_oracle(
-        store: &TripleStore,
+        store: &Arc<TripleStore>,
         steps: Vec<PlanStep>,
         num_vars: usize,
         patterns: &[(Atom, Id, Atom)],
     ) {
         let projection: Vec<VarId> = (0..num_vars as VarId).collect();
-        let plan = PhysicalPlan::new(steps, num_vars, projection).unwrap();
+        let plan = Arc::new(PhysicalPlan::new(steps, num_vars, projection).unwrap());
+        let thresholds = Arc::new(default_thresholds(store));
         let expected = oracle(store, patterns, num_vars);
         for strategy in [
             ProbeStrategy::AlwaysBinary,
@@ -1967,10 +1677,10 @@ mod tests {
                     threads,
                     morsel_size: 3,
                     strategy,
-                    guard: None,
-                    recorder: None,
+                    ..ExecOptions::default()
                 };
-                let (mut batch, _) = execute_collect(store, &plan, &opts).expect("runs");
+                let (mut batch, _) =
+                    execute_collect(None, store, None, &plan, &opts, &thresholds).expect("runs");
                 batch.sort_unstable();
                 batch.dedup();
                 assert_eq!(
@@ -2014,7 +1724,7 @@ mod tests {
 
     /// Builds an overlay with mutations and a from-scratch rebuilt
     /// store holding the same visible triples (same dictionary ids).
-    fn dirty_and_rebuilt() -> (TripleStore, parj_store::DeltaOverlay, TripleStore) {
+    fn dirty_and_rebuilt() -> (Arc<TripleStore>, Arc<DeltaOverlay>, Arc<TripleStore>) {
         let base = store();
         let mut ov = parj_store::DeltaOverlay::new(&base);
         let teaches = pid(&base, "teaches");
@@ -2037,18 +1747,21 @@ mod tests {
         }
         let rebuilt = b.build();
         assert_eq!(rebuilt.num_triples(), ov.visible_triples(&base));
-        (base, ov, rebuilt)
+        (base, Arc::new(ov), Arc::new(rebuilt))
     }
 
+    /// Runs `plan` without an engine pool and splits the morsel-ordered
+    /// sinks into rows.
     fn collect_rows(
-        store: &TripleStore,
-        delta: Option<&parj_store::DeltaOverlay>,
+        store: &Arc<TripleStore>,
+        delta: Option<&Arc<DeltaOverlay>>,
         plan: &PhysicalPlan,
         opts: &ExecOptions,
     ) -> Vec<Vec<Id>> {
-        let thresholds = default_thresholds(store);
+        let thresholds = Arc::new(default_thresholds(store));
+        let plan = Arc::new(plan.clone());
         let (sinks, _) =
-            execute_view(store, delta, plan, opts, &thresholds, CollectSink::default)
+            execute(None, store, delta, &plan, opts, &thresholds, CollectSink::default)
                 .expect("runs");
         let arity = plan.projection.len().max(1);
         let mut rows = Vec::new();
@@ -2079,10 +1792,10 @@ mod tests {
                     &Term::iri(format!("t{}", (i * 7) % 90)),
                 );
             }
-            b.build_with(parj_store::StoreOptions {
+            Arc::new(b.build_with(parj_store::StoreOptions {
                 compress_min_values: compress,
                 ..Default::default()
-            })
+            }))
         };
         let raw = build(None);
         let zip = build(Some(16));
@@ -2123,8 +1836,7 @@ mod tests {
                         threads,
                         morsel_size: morsel,
                         strategy,
-                        guard: None,
-                        recorder: None,
+                        ..ExecOptions::default()
                     };
                     let a = collect_rows(&raw, None, &plan, &opts);
                     let b = collect_rows(&zip, None, &plan, &opts);
@@ -2172,8 +1884,7 @@ mod tests {
                         threads,
                         morsel_size: morsel,
                         strategy,
-                        guard: None,
-                        recorder: None,
+                        ..ExecOptions::default()
                     };
                     let dirty = collect_rows(&base, Some(&ov), &plan, &opts);
                     let clean = collect_rows(&rebuilt, None, &plan, &opts);
@@ -2235,17 +1946,16 @@ mod tests {
                 vec![],
             )
             .unwrap();
-            let thresholds = default_thresholds(&base);
-            let (sinks, _) = execute_view(
+            let thresholds = Arc::new(default_thresholds(&base));
+            let (count, _) = execute_count(
+                None,
                 &base,
                 Some(&ov),
-                &plan,
+                &Arc::new(plan),
                 &ExecOptions::with_threads(1),
                 &thresholds,
-                CountSink::default,
             )
             .expect("runs");
-            let count: u64 = sinks.iter().map(|s| s.count).sum();
             assert_eq!(count > 0, expect, "existence of ({s},{o})");
         }
     }
@@ -2369,7 +2079,7 @@ mod tests {
             vec![],
         )
         .unwrap();
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::with_threads(4)).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::with_threads(4)).expect("runs");
         assert_eq!(count, 1);
         // Absent triple.
         let u2 = rid(&s, "U2");
@@ -2384,7 +2094,7 @@ mod tests {
             vec![],
         )
         .unwrap();
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::default()).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::default()).expect("runs");
         assert_eq!(count, 0);
     }
 
@@ -2402,7 +2112,7 @@ mod tests {
             vec![0, 1],
         )
         .unwrap();
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::default()).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::default()).expect("runs");
         assert_eq!(count, 0);
     }
 
@@ -2434,7 +2144,7 @@ mod tests {
             strategy: ProbeStrategy::AlwaysBinary,
             ..Default::default()
         };
-        let (_, stats) = execute_count(&s, &plan, &opts).expect("runs");
+        let (_, stats) = run_count(&s, &plan, &opts).expect("runs");
         // 4 teaches tuples → 4 probes of worksFor.
         assert_eq!(stats.binary_searches, 4);
         assert_eq!(stats.sequential_searches, 0);
@@ -2442,7 +2152,7 @@ mod tests {
             strategy: ProbeStrategy::AlwaysSequential,
             ..Default::default()
         };
-        let (_, stats) = execute_count(&s, &plan, &opts).expect("runs");
+        let (_, stats) = run_count(&s, &plan, &opts).expect("runs");
         assert_eq!(stats.sequential_searches, 4);
         assert_eq!(stats.binary_searches, 0);
     }
@@ -2464,15 +2174,13 @@ mod tests {
             vec![0, 1],
         )
         .unwrap();
-        let (count, _) = execute_count(
+        let (count, _) = run_count(
             &s,
             &plan,
             &ExecOptions {
                 threads: 16,
                 morsel_size: 1,
-                strategy: ProbeStrategy::AdaptiveBinary,
-                guard: None,
-                recorder: None,
+                ..ExecOptions::default()
             },
         )
         .expect("runs");
@@ -2508,7 +2216,7 @@ mod tests {
             vec![0, 1],
         )
         .unwrap();
-        let (count, stats) = execute_count(&s, &plan, &ExecOptions::default()).expect("runs");
+        let (count, stats) = run_count(&s, &plan, &ExecOptions::default()).expect("runs");
         assert_eq!(count, 2); // ProfB/Chem, ProfC/Lit
         // 4 driver tuples → 4 probes of the constant key.
         assert_eq!(stats.total_searches(), 4);
@@ -2524,9 +2232,9 @@ mod tests {
         }
     }
 
-    fn teaches_plan(s: &TripleStore) -> PhysicalPlan {
+    fn teaches_plan(s: &TripleStore) -> Arc<PhysicalPlan> {
         let teaches = pid(s, "teaches");
-        PhysicalPlan::new(
+        let plan = PhysicalPlan::new(
             vec![PlanStep {
                 predicate: teaches,
                 order: SortOrder::SO,
@@ -2536,7 +2244,8 @@ mod tests {
             2,
             vec![0, 1],
         )
-        .unwrap()
+        .unwrap();
+        Arc::new(plan)
     }
 
     #[test]
@@ -2545,8 +2254,8 @@ mod tests {
         let plan = teaches_plan(&s);
         for threads in [1, 4] {
             let opts = ExecOptions::with_threads(threads);
-            let thresholds = default_thresholds(&s);
-            let err = execute(&s, &plan, &opts, &thresholds, || PanicSink)
+            let thresholds = Arc::new(default_thresholds(&s));
+            let err = execute(None, &s, None, &plan, &opts, &thresholds, || PanicSink)
                 .expect_err("sink panic must surface as an error");
             match &err.kind {
                 ExecFailureKind::WorkerPanicked { message } => {
@@ -2556,7 +2265,7 @@ mod tests {
             }
         }
         // The store is read-only during execution: it stays usable.
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::with_threads(4)).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::with_threads(4)).expect("runs");
         assert_eq!(count, 4);
     }
 
@@ -2570,7 +2279,7 @@ mod tests {
             guard: Some(Arc::clone(&guard)),
             ..ExecOptions::with_threads(2)
         };
-        let err = execute_count(&s, &plan, &opts).expect_err("cancelled before start");
+        let err = run_count(&s, &plan, &opts).expect_err("cancelled before start");
         assert_eq!(err.kind, ExecFailureKind::Cancelled);
         assert_eq!(err.rows, 0);
     }
@@ -2586,7 +2295,7 @@ mod tests {
             guard: Some(guard),
             ..ExecOptions::default()
         };
-        let err = execute_count(&s, &plan, &opts).expect_err("budget of 2 rows");
+        let err = run_count(&s, &plan, &opts).expect_err("budget of 2 rows");
         match err.kind {
             ExecFailureKind::BudgetExceeded { rows } => assert_eq!(rows, 4),
             other => panic!("expected BudgetExceeded, got {other:?}"),
@@ -2606,7 +2315,7 @@ mod tests {
             guard: Some(guard),
             ..ExecOptions::with_threads(2)
         };
-        let err = execute_count(&s, &plan, &opts).expect_err("deadline already passed");
+        let err = run_count(&s, &plan, &opts).expect_err("deadline already passed");
         assert!(
             matches!(err.kind, ExecFailureKind::DeadlineExceeded { .. }),
             "got {:?}",
@@ -2625,11 +2334,11 @@ mod tests {
             guard: Some(Arc::clone(&guard)),
             ..ExecOptions::default()
         };
-        let (count, _) = execute_count(&s, &plan, &opts).expect("runs");
+        let (count, _) = run_count(&s, &plan, &opts).expect("runs");
         assert_eq!(count, 4);
         guard.cancel();
         let opts = ExecOptions::default();
-        let (count, _) = execute_count(&s, &plan, &opts).expect("fresh guard unaffected");
+        let (count, _) = run_count(&s, &plan, &opts).expect("fresh guard unaffected");
         assert_eq!(count, 4);
     }
 
@@ -2728,7 +2437,8 @@ mod tests {
     #[test]
     fn morsel_loads_match_the_executed_grid() {
         // The diagnostic grid is the grid that runs, at one participant
-        // (the cap) and at two (derived), scoped and pooled.
+        // (the cap) and at two (derived), on a per-call pool and on an
+        // engine-owned one.
         let (store, plan) = scan_store(3_000);
         let thresholds = Arc::new(default_thresholds(&store));
         let pool = WorkerPool::new(1);
@@ -2738,19 +2448,15 @@ mod tests {
                 morsel_size: 1_000,
                 ..ExecOptions::default()
             };
-            let loads = morsel_loads(&store, &plan, &opts, &thresholds).expect("valid");
+            let loads = morsel_loads(&store, None, &plan, &opts, &thresholds).expect("valid");
             for pooled in [false, true] {
                 let rec = Arc::new(CaptureRecorder::default());
                 let opts = ExecOptions {
                     recorder: Some(Arc::clone(&rec) as Arc<dyn Recorder>),
                     ..opts.clone()
                 };
-                if pooled {
-                    execute_pooled(&pool, &store, &plan, &opts, &thresholds, CountSink::default)
-                        .expect("runs");
-                } else {
-                    execute_count_with(&store, &plan, &opts, &thresholds).expect("runs");
-                }
+                let pool = pooled.then_some(&pool);
+                execute_count(pool, &store, None, &plan, &opts, &thresholds).expect("runs");
                 let morsels = rec.seen.lock().unwrap()[0].5;
                 assert_eq!(loads.len() as u64, morsels, "threads {threads} pooled {pooled}");
             }
@@ -2819,7 +2525,7 @@ mod tests {
         )
         .unwrap();
         // With morsel_size 1 each distinct driver key is one morsel.
-        let domain = driver_domain(&s, &plan, &ExecOptions::default());
+        let domain = s.replica(teaches, SortOrder::SO).unwrap().num_keys();
         for threads in [1usize, 4] {
             let rec = Arc::new(CaptureRecorder::default());
             let opts = ExecOptions::builder()
@@ -2828,7 +2534,7 @@ mod tests {
                 .recorder(Some(Arc::clone(&rec) as Arc<dyn Recorder>))
                 .build()
                 .unwrap();
-            let (count, total) = execute_count(&s, &plan, &opts).expect("runs");
+            let (count, total) = run_count(&s, &plan, &opts).expect("runs");
             assert_eq!(count, 4);
             let seen = rec.seen.lock().unwrap();
             assert_eq!(seen.len(), 1, "exactly one record per execution");
@@ -2839,11 +2545,13 @@ mod tests {
             assert_eq!(step_rows, &vec![4, 4]);
             assert_eq!(step_search.len(), 1);
             assert_eq!(*rec_total, total);
-            // The executor clamps participants to the morsel count.
-            assert_eq!(
-                units.len(),
-                threads.min(domain),
-                "one unit entry per participant"
+            // One unit entry per participant: the caller, plus the pool
+            // helpers that joined before the cursor drained — never more
+            // than the morsel count.
+            assert!(
+                !units.is_empty() && units.len() <= threads.min(domain),
+                "{} unit entries",
+                units.len()
             );
             assert_eq!(
                 *morsels, domain as u64,
@@ -2867,7 +2575,7 @@ mod tests {
             .recorder(Some(Arc::clone(&rec) as Arc<dyn Recorder>))
             .build()
             .unwrap();
-        execute_count(&s, &plan, &opts).expect_err("budget of 2 rows");
+        run_count(&s, &plan, &opts).expect_err("budget of 2 rows");
         assert_eq!(rec.seen.lock().unwrap().len(), 1);
     }
 
@@ -2887,11 +2595,11 @@ mod tests {
             vec![],
         )
         .unwrap();
-        let (count, _) = execute_count(&s, &plan, &ExecOptions::default()).expect("runs");
+        let (count, _) = run_count(&s, &plan, &ExecOptions::default()).expect("runs");
         assert_eq!(count, 4);
     }
 
-    /// Runs `execute_pooled` with collect sinks and flattens the
+    /// Runs `plan` on `pool` with collect sinks and flattens the
     /// morsel-ordered sinks into one row vector.
     fn collect_pooled(
         pool: &WorkerPool,
@@ -2901,7 +2609,7 @@ mod tests {
     ) -> ExecResult<Vec<Id>> {
         let thresholds = Arc::new(default_thresholds(store));
         let (sinks, _) =
-            execute_pooled(pool, store, plan, opts, &thresholds, CollectSink::default)?;
+            execute(Some(pool), store, None, plan, opts, &thresholds, CollectSink::default)?;
         let mut flat = Vec::new();
         for s in &sinks {
             flat.extend_from_slice(&s.data);
@@ -2910,11 +2618,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_scoped_byte_identical() {
-        // The same query through the persistent pool and through
-        // scoped threads must produce identical flattened rows — the
-        // morsel-order merge makes both equal to the threads=1 run.
-        let s = Arc::new(store());
+    fn pooled_matches_inline_byte_identical() {
+        // The same query on one participant (inline on the caller), on
+        // an engine-owned pool and on a per-call pool must produce
+        // identical flattened rows — the morsel-order merge makes every
+        // run equal to the inline one.
+        let s = store();
         let teaches = pid(&s, "teaches");
         let works = pid(&s, "worksFor");
         let plan = Arc::new(
@@ -2939,8 +2648,8 @@ mod tests {
             .unwrap(),
         );
         let pool = WorkerPool::new(3);
-        let thresholds = default_thresholds(&s);
-        let mut baseline: Option<Vec<Id>> = None;
+        let inline = collect_pooled(&pool, &s, &plan, &ExecOptions::default()).expect("inline");
+        assert_eq!(pool.stats().jobs, 0, "a one-participant run touches no pool");
         for threads in [1usize, 2, 4, 9] {
             for morsel_size in [1usize, 2, 16384] {
                 let opts = ExecOptions {
@@ -2949,23 +2658,15 @@ mod tests {
                     ..ExecOptions::default()
                 };
                 let pooled = collect_pooled(&pool, &s, &plan, &opts).expect("pooled runs");
-                let (sinks, _) = execute(&s, &plan, &opts, &thresholds, CollectSink::default)
-                    .expect("scoped runs");
-                let mut scoped = Vec::new();
-                for sk in &sinks {
-                    scoped.extend_from_slice(&sk.data);
-                }
                 assert_eq!(
-                    pooled, scoped,
-                    "pooled vs scoped diverged at threads {threads} morsel {morsel_size}"
+                    pooled, inline,
+                    "pooled vs inline diverged at threads {threads} morsel {morsel_size}"
                 );
-                match &baseline {
-                    None => baseline = Some(pooled),
-                    Some(b) => assert_eq!(
-                        &pooled, b,
-                        "row order changed at threads {threads} morsel {morsel_size}"
-                    ),
-                }
+                let per_call = collect_rows(&s, None, &plan, &opts).concat();
+                assert_eq!(
+                    per_call, inline,
+                    "per-call pool vs inline diverged at threads {threads} morsel {morsel_size}"
+                );
             }
         }
         assert!(pool.stats().jobs > 0, "multi-morsel runs must use the pool");
@@ -2977,8 +2678,8 @@ mod tests {
         // as WorkerPanicked, the worker returns to service, and 100
         // subsequent queries on the same pool succeed with no thread
         // growth or loss.
-        let s = Arc::new(store());
-        let plan = Arc::new(teaches_plan(&s));
+        let s = store();
+        let plan = teaches_plan(&s);
         let pool = WorkerPool::new(2);
         let workers_before = pool.workers();
         let thresholds = Arc::new(default_thresholds(&s));
@@ -2989,7 +2690,7 @@ mod tests {
             morsel_size: 1,
             ..ExecOptions::default()
         };
-        let err = execute_pooled(&pool, &s, &plan, &opts, &thresholds, || PanicSink)
+        let err = execute(Some(&pool), &s, None, &plan, &opts, &thresholds, || PanicSink)
             .expect_err("sink panic must surface as an error");
         match &err.kind {
             ExecFailureKind::WorkerPanicked { message } => {
@@ -3005,34 +2706,37 @@ mod tests {
     }
 
     #[test]
-    fn pooled_guard_paths_match_scoped() {
-        // Early-exit paths behave identically through the pool: the
-        // same failure kind, no hang, and the pool stays usable.
-        let s = Arc::new(store());
-        let plan = Arc::new(teaches_plan(&s));
+    fn pooled_guard_paths_match_inline() {
+        // Early-exit paths classify the same inline and through the
+        // pool: the same failure kind, no hang, and the pool stays
+        // usable.
+        let s = store();
+        let plan = teaches_plan(&s);
         let pool = WorkerPool::new(2);
-        let opts = |guard: Arc<QueryGuard>| ExecOptions {
-            threads: 3,
-            morsel_size: 1,
-            guard: Some(guard),
-            ..ExecOptions::default()
-        };
+        for threads in [1usize, 3] {
+            let opts = |guard: Arc<QueryGuard>| ExecOptions {
+                threads,
+                morsel_size: 1,
+                guard: Some(guard),
+                ..ExecOptions::default()
+            };
 
-        let cancelled = Arc::new(QueryGuard::unlimited());
-        cancelled.cancel();
-        let err = collect_pooled(&pool, &s, &plan, &opts(cancelled)).expect_err("cancelled");
-        assert_eq!(err.kind, ExecFailureKind::Cancelled);
+            let cancelled = Arc::new(QueryGuard::unlimited());
+            cancelled.cancel();
+            let err = collect_pooled(&pool, &s, &plan, &opts(cancelled)).expect_err("cancelled");
+            assert_eq!(err.kind, ExecFailureKind::Cancelled, "threads {threads}");
 
-        let budget = Arc::new(QueryGuard::with_limits(None, Some(2)));
-        let err = collect_pooled(&pool, &s, &plan, &opts(budget)).expect_err("over budget");
-        assert!(
-            matches!(err.kind, ExecFailureKind::BudgetExceeded { .. }),
-            "expected BudgetExceeded, got {:?}",
-            err.kind
-        );
+            let budget = Arc::new(QueryGuard::with_limits(None, Some(2)));
+            let err = collect_pooled(&pool, &s, &plan, &opts(budget)).expect_err("over budget");
+            assert!(
+                matches!(err.kind, ExecFailureKind::BudgetExceeded { .. }),
+                "threads {threads}: expected BudgetExceeded, got {:?}",
+                err.kind
+            );
 
-        let fine = Arc::new(QueryGuard::unlimited());
-        let rows = collect_pooled(&pool, &s, &plan, &opts(fine)).expect("pool still serves");
-        assert_eq!(rows.len(), 8);
+            let fine = Arc::new(QueryGuard::unlimited());
+            let rows = collect_pooled(&pool, &s, &plan, &opts(fine)).expect("pool still serves");
+            assert_eq!(rows.len(), 8);
+        }
     }
 }

@@ -18,19 +18,24 @@
 //!
 //! Parallelism follows §3: the driver relation of the left-deep plan (or
 //! the value vector of a constant key, Example 3.2) is split into
-//! fixed-size **morsels**; workers draw morsel indexes from one atomic
-//! cursor and run the **entire pipeline** on read-only shared data — no
-//! exchange, no rehashing, no synchronization, no graph partitioning.
-//! Engines own a persistent [`WorkerPool`]; [`execute_pooled`] submits a
-//! query's morsels to it so no threads are created per query, while
-//! [`execute`] remains the scoped-thread fallback. Both merge per-morsel
-//! sinks in morsel order, so results are byte-identical regardless of
-//! thread count, morsel size, or interleaving.
+//! **morsels**; workers draw morsel indexes from one atomic cursor and
+//! run the **entire pipeline** on read-only shared data — no exchange,
+//! no rehashing, no synchronization, no graph partitioning. [`execute`]
+//! is the one entry point, over a store plus an optional delta overlay:
+//! a run with one participant executes inline on the caller, a larger
+//! one on a [`WorkerPool`] (the engine's persistent pool, or one made
+//! for the call). Per-morsel sinks merge in morsel order, so results
+//! are byte-identical regardless of thread count, morsel size, or
+//! interleaving. [`execute_count`] and [`execute_collect`] are sink
+//! wrappers over it.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use parj_dict::Term;
 //! use parj_store::{SortOrder, StoreBuilder};
-//! use parj_join::{Atom, ExecOptions, PhysicalPlan, PlanStep, execute_count};
+//! use parj_join::{
+//!     default_thresholds, execute_count, Atom, ExecOptions, PhysicalPlan, PlanStep,
+//! };
 //!
 //! // ?x teaches ?z . ?x worksFor ?y   (Example 3.1 of the paper)
 //! let mut b = StoreBuilder::new();
@@ -38,10 +43,10 @@
 //!                   ("A", "worksFor", "U1"), ("B", "worksFor", "U2")] {
 //!     b.add_term_triple(&Term::iri(s), &Term::iri(p), &Term::iri(o));
 //! }
-//! let store = b.build();
+//! let store = Arc::new(b.build());
 //! let teaches = store.dict().predicate_id(&Term::iri("teaches")).unwrap();
 //! let works_for = store.dict().predicate_id(&Term::iri("worksFor")).unwrap();
-//! let plan = PhysicalPlan::new(
+//! let plan = Arc::new(PhysicalPlan::new(
 //!     vec![
 //!         PlanStep { predicate: teaches, order: SortOrder::SO,
 //!                    key: Atom::Var(0), value: Atom::Var(2) },
@@ -50,8 +55,11 @@
 //!     ],
 //!     3,
 //!     vec![0, 1, 2],
-//! ).unwrap();
-//! let (count, _stats) = execute_count(&store, &plan, &ExecOptions::default()).unwrap();
+//! ).unwrap());
+//! let thresholds = Arc::new(default_thresholds(&store));
+//! // No pool and no delta overlay: a one-thread run executes inline.
+//! let (count, _stats) =
+//!     execute_count(None, &store, None, &plan, &ExecOptions::default(), &thresholds).unwrap();
 //! assert_eq!(count, 2);
 //! ```
 //!
@@ -78,13 +86,9 @@ mod threshold;
 
 pub use calibrate::{calibrate, CalibrationConfig, CalibrationResult};
 pub use exec::{
-    driver_domain, driver_domain_view, execute, execute_collect, execute_count,
-    execute_count_with, execute_pooled, execute_pooled_view, execute_profiled,
-    execute_profiled_view, execute_view, morsel_loads, morsel_loads_view, PlanProfile,
-    DEFAULT_MORSEL_SIZE,
-    CollectSink, CountSink,
-    ExecFailure, ExecFailureKind, ExecOptions, ExecOptionsBuilder, ExecOptionsError, ExecRecord,
-    ExecResult, FnSink, Recorder, Sink,
+    default_thresholds, execute, execute_collect, execute_count, morsel_loads, CollectSink,
+    CountSink, ExecFailure, ExecFailureKind, ExecOptions, ExecOptionsBuilder, ExecOptionsError,
+    ExecRecord, ExecResult, FnSink, Recorder, Sink, DEFAULT_MORSEL_SIZE,
 };
 pub use pool::{Participant, PoolStats, WorkerPool};
 pub use guard::{CancelToken, GuardTrip, QueryGuard, GUARD_BATCH};

@@ -88,8 +88,9 @@ pub(crate) struct CompiledStep {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DriverMode {
     /// Key is a variable: scan the keys array, sharding over key
-    /// positions (Example 3.1).
-    ScanKeys { bind_key: VarId, value: DriverValue },
+    /// positions (Example 3.1). `value` is never `CheckVar`: nothing is
+    /// bound before the driver.
+    ScanKeys { bind_key: VarId, value: ValueMode },
     /// Key is a constant, value a variable: locate the key's group once
     /// and shard over the **value vector** (Example 3.2: "we start
     /// scanning concurrently different shards of the vector that
@@ -97,14 +98,6 @@ pub(crate) enum DriverMode {
     ScanGroup { key: Id, bind_value: VarId },
     /// Fully constant pattern: a single existence check.
     Existence { key: Id, value: Id },
-}
-
-/// Value handling while scanning keys in the driver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DriverValue {
-    Bind(VarId),
-    CheckConst(Id),
-    CheckEqKey,
 }
 
 /// Why a plan failed validation.
@@ -187,7 +180,7 @@ impl PhysicalPlan {
                 bound[k as usize] = true;
                 DriverMode::ScanKeys {
                     bind_key: k,
-                    value: DriverValue::CheckEqKey,
+                    value: ValueMode::CheckEqKey,
                 }
             }
             (Atom::Var(k), Atom::Var(v)) => {
@@ -195,14 +188,14 @@ impl PhysicalPlan {
                 bound[v as usize] = true;
                 DriverMode::ScanKeys {
                     bind_key: k,
-                    value: DriverValue::Bind(v),
+                    value: ValueMode::Bind(v),
                 }
             }
             (Atom::Var(k), Atom::Const(c)) => {
                 bound[k as usize] = true;
                 DriverMode::ScanKeys {
                     bind_key: k,
-                    value: DriverValue::CheckConst(c),
+                    value: ValueMode::CheckConst(c),
                 }
             }
             (Atom::Const(c), Atom::Var(v)) => {
@@ -349,7 +342,7 @@ mod tests {
         assert!(matches!(
             p.driver,
             DriverMode::ScanKeys {
-                value: DriverValue::CheckEqKey,
+                value: ValueMode::CheckEqKey,
                 ..
             }
         ));

@@ -1,11 +1,11 @@
-//! Engine-owned persistent worker pool for morsel-driven execution.
+//! Worker pool for morsel-driven execution.
 //!
-//! Queries no longer spawn scoped threads per run; instead an engine
-//! creates one [`WorkerPool`] up front (sized by its thread budget) and
-//! every parallel execution *submits a job* onto it. A job is a single
-//! participant body — a closure that joins the query's shared morsel
-//! cursor and pulls fixed-size driver morsels until the cursor drains
-//! (see `exec.rs`). The submitting thread always runs one participant
+//! An engine creates one persistent [`WorkerPool`] up front (sized by
+//! its thread budget) and every parallel execution *submits a job*
+//! onto it; an executor call without one makes a pool for the call and
+//! drops it at the end. A job is a single participant body — a closure
+//! that joins the query's shared morsel cursor and pulls fixed-size
+//! driver morsels until the cursor drains (see `exec.rs`). The submitting thread always runs one participant
 //! itself, so a query makes progress even when every pool worker is
 //! busy with other queries; idle pool workers claim up to `helpers`
 //! additional seats on the job and pull morsels alongside it.

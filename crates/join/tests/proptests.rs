@@ -3,9 +3,11 @@
 use proptest::prelude::*;
 
 use parj_dict::{Id, Term};
+use std::sync::Arc;
+
 use parj_join::{
-    adaptive_search, binary_search_cursor, execute_collect, sequential_search, Atom, ExecOptions,
-    PhysicalPlan, PlanStep, ProbeStrategy, SearchStats,
+    adaptive_search, binary_search_cursor, default_thresholds, execute_collect, sequential_search,
+    Atom, ExecOptions, PhysicalPlan, PlanStep, ProbeStrategy, SearchStats,
 };
 use parj_store::{IdPosIndex, SortOrder, StoreBuilder};
 
@@ -109,17 +111,18 @@ proptest! {
         for &(s, o) in &edges_b {
             b.add_encoded(parj_dict::EncodedTriple::new(s, 1, o));
         }
-        let store = b.build();
+        let store = Arc::new(b.build());
+        let thresholds = Arc::new(default_thresholds(&store));
 
         // ?x pa ?y . ?y pb ?z  (object-subject chain)
-        let plan = PhysicalPlan::new(
+        let plan = Arc::new(PhysicalPlan::new(
             vec![
                 PlanStep { predicate: 0, order: SortOrder::SO, key: Atom::Var(0), value: Atom::Var(1) },
                 PlanStep { predicate: 1, order: SortOrder::SO, key: Atom::Var(1), value: Atom::Var(2) },
             ],
             3,
             vec![0, 1, 2],
-        ).unwrap();
+        ).unwrap());
 
         // Oracle (set semantics on each predicate, matching the store).
         let mut ea = edges_a.clone();
@@ -146,7 +149,8 @@ proptest! {
                 .strategy(strategy)
                 .build()
                 .expect("valid options");
-            let (batch, _) = execute_collect(&store, &plan, &opts).expect("runs");
+            let (batch, _) =
+                execute_collect(None, &store, None, &plan, &opts, &thresholds).expect("runs");
             // Determinism: the *unsorted* row order must already be
             // identical across strategies (and, by the morsel-order
             // merge, across thread counts — the driver-domain order).

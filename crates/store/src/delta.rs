@@ -33,7 +33,7 @@ use parj_dict::{DictDelta, EncodedTriple, Id};
 use parj_sync::Arc;
 
 use crate::partition::Partition;
-use crate::replica::Replica;
+use crate::replica::{Group, GroupIter, Replica};
 use crate::store::{SortOrder, TripleStore};
 
 /// Per-predicate mutation state: optional compacted replacement of the
@@ -461,17 +461,12 @@ pub struct StoreView<'a> {
 }
 
 impl<'a> StoreView<'a> {
-    /// A view of the base store alone.
-    pub fn base_only(base: &'a TripleStore) -> Self {
-        StoreView { base, delta: None }
-    }
-
-    /// A view of the base plus `delta`. A clean overlay is dropped so
-    /// the executor keeps its zero-overhead path.
-    pub fn with_delta(base: &'a TripleStore, delta: &'a DeltaOverlay) -> Self {
+    /// A view of `base` plus an optional overlay. A clean overlay is
+    /// dropped so the executor keeps its zero-overhead path.
+    pub fn new(base: &'a TripleStore, delta: Option<&'a DeltaOverlay>) -> Self {
         StoreView {
             base,
-            delta: (!delta.is_clean()).then_some(delta),
+            delta: delta.filter(|d| !d.is_clean()),
         }
     }
 
@@ -549,22 +544,26 @@ pub enum ReplicaView<'a> {
 }
 
 impl<'a> ReplicaView<'a> {
-    /// True if `(key, value)` is visible. Probes go through
-    /// [`crate::Group`], so base replicas (and compacted replacements)
-    /// may be block-compressed; add/del runs are always raw.
-    pub fn contains_pair(&self, key: Id, value: Id) -> bool {
+    /// The visible value group of `key`. A clean view's group has empty
+    /// add and del runs.
+    pub fn group_for_key(&self, key: Id) -> MergedGroup<'a> {
         match self {
-            ReplicaView::Clean(rep) => rep.group_for_key(key).contains(value),
-            ReplicaView::Dirty { base, add, del } => {
-                let in_del =
-                    del.is_some_and(|d| d.group_for_key(key).contains(value));
-                if in_del {
-                    return false;
-                }
-                base.is_some_and(|b| b.group_for_key(key).contains(value))
-                    || add.is_some_and(|a| a.group_for_key(key).contains(value))
-            }
+            ReplicaView::Clean(rep) => MergedGroup {
+                base: rep.group_for_key(key),
+                add: &[],
+                del: &[],
+            },
+            ReplicaView::Dirty { base, add, del } => MergedGroup {
+                base: base.map_or(Group::Raw(&[]), |b| b.group_for_key(key)),
+                add: add.map_or(&[][..], |a| a.values_for_key(key)),
+                del: del.map_or(&[][..], |d| d.values_for_key(key)),
+            },
         }
+    }
+
+    /// True if `(key, value)` is visible.
+    pub fn contains_pair(&self, key: Id, value: Id) -> bool {
+        self.group_for_key(key).contains(value)
     }
 
     /// The visible sorted value group for `key`, appended to `out`
@@ -572,15 +571,7 @@ impl<'a> ReplicaView<'a> {
     /// borrowing [`Replica::values_for_key`] directly.
     pub fn merged_values_into(&self, key: Id, out: &mut Vec<Id>) {
         out.clear();
-        match self {
-            ReplicaView::Clean(rep) => rep.group_for_key(key).decode_into(out),
-            ReplicaView::Dirty { base, add, del } => merge_group_into(
-                base.map_or(crate::Group::Raw(&[]), |b| b.group_for_key(key)),
-                add.map_or(&[][..], |a| a.values_for_key(key)),
-                del.map_or(&[][..], |d| d.values_for_key(key)),
-                out,
-            ),
-        }
+        out.extend(self.group_for_key(key).iter());
     }
 
     /// The sorted distinct key domain. For dirty views this is the
@@ -620,57 +611,125 @@ impl<'a> ReplicaView<'a> {
     }
 }
 
-/// Binary search membership in a sorted slice.
+/// One key's visible value group under the overlay: `(base \ del) ∪
+/// add`. The base group may use any replica layout; the add and del
+/// runs are always raw. The overlay invariants hold: `add` is disjoint
+/// from `base` and `del` is a subset of it, all three sorted.
+///
+/// This is the one place the overlay's merge semantics live: probes,
+/// scans, driver domains and existence checks all read through it.
+#[derive(Debug, Clone, Copy)]
+pub struct MergedGroup<'a> {
+    /// The base (or compacted replacement) group.
+    pub base: Group<'a>,
+    /// Inserted values, disjoint from `base`.
+    pub add: &'a [Id],
+    /// Tombstoned values, a subset of `base`.
+    pub del: &'a [Id],
+}
+
+impl<'a> MergedGroup<'a> {
+    /// Number of visible values.
+    pub fn len(&self) -> usize {
+        (self.base.len() + self.add.len()).saturating_sub(self.del.len())
+    }
+
+    /// True when no value is visible (including a base group whose
+    /// every value is tombstoned).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True if `value` is visible.
+    #[inline]
+    pub fn contains(&self, value: Id) -> bool {
+        self.probe(value).0
+    }
+
+    /// Membership of `value`, plus how many sorted runs were searched
+    /// to decide it (1 to 3): the del run when it is non-empty, then
+    /// the base group, then the add run when the base missed and the
+    /// add run is non-empty.
+    #[inline]
+    pub fn probe(&self, value: Id) -> (bool, u64) {
+        let mut runs = 0;
+        if !self.del.is_empty() {
+            runs += 1;
+            if self.del.binary_search(&value).is_ok() {
+                return (false, runs);
+            }
+        }
+        runs += 1;
+        if self.base.contains(value) {
+            return (true, runs);
+        }
+        if self.add.is_empty() {
+            return (false, runs);
+        }
+        (self.add.binary_search(&value).is_ok(), runs + 1)
+    }
+
+    /// Iterates the visible values in increasing order — the order a
+    /// compacted replica would yield. Allocation-free two-pointer merge.
+    pub fn iter(&self) -> MergedIter<'a> {
+        let mut base = self.base.iter();
+        let mut del = self.del;
+        let head = next_live(&mut base, &mut del);
+        MergedIter {
+            base,
+            head,
+            add: self.add,
+            del,
+        }
+    }
+}
+
+/// Iterator over a [`MergedGroup`]'s visible values, in order.
+#[derive(Debug, Clone)]
+pub struct MergedIter<'a> {
+    base: GroupIter<'a>,
+    /// The next base value that survived the tombstones.
+    head: Option<Id>,
+    add: &'a [Id],
+    /// Tombstones not yet matched against the base.
+    del: &'a [Id],
+}
+
+/// The next value of `base` not in `del`, consuming matched tombstones.
+/// Both are sorted and `del` is a subset of `base`, so the tombstone
+/// cursor only ever moves forward.
 #[inline]
-pub fn sorted_contains(slice: &[Id], value: Id) -> bool {
-    slice.binary_search(&value).is_ok()
+fn next_live(base: &mut GroupIter<'_>, del: &mut &[Id]) -> Option<Id> {
+    for v in base.by_ref() {
+        match del.split_first() {
+            Some((&d, rest)) if d == v => *del = rest,
+            _ => return Some(v),
+        }
+    }
+    None
 }
 
-/// Merges `(base \ del) ∪ add` into `out`, preserving sorted order.
-/// `add` must be disjoint from `base` and `del` a subset of `base` —
-/// the overlay invariants.
-pub fn merge_values_into(base: &[Id], add: &[Id], del: &[Id], out: &mut Vec<Id>) {
-    let mut di = 0;
-    let mut ai = 0;
-    for &v in base {
-        if di < del.len() && del[di] == v {
-            di += 1;
-            continue;
-        }
-        while ai < add.len() && add[ai] < v {
-            out.push(add[ai]);
-            ai += 1;
-        }
-        out.push(v);
-    }
-    out.extend_from_slice(&add[ai..]);
-}
+impl Iterator for MergedIter<'_> {
+    type Item = Id;
 
-/// [`merge_values_into`] with a [`crate::Group`] base, so the same
-/// two-pointer merge runs over raw and block-compressed base groups.
-pub fn merge_group_into(
-    base: crate::Group<'_>,
-    add: &[Id],
-    del: &[Id],
-    out: &mut Vec<Id>,
-) {
-    if let Some(slice) = base.as_raw() {
-        return merge_values_into(slice, add, del, out);
-    }
-    let mut di = 0;
-    let mut ai = 0;
-    for v in base.iter() {
-        if di < del.len() && del[di] == v {
-            di += 1;
-            continue;
+    #[inline]
+    fn next(&mut self) -> Option<Id> {
+        match (self.head, self.add.split_first()) {
+            (Some(b), Some((&a, rest))) if a < b => {
+                self.add = rest;
+                Some(a)
+            }
+            (Some(b), _) => {
+                self.head = next_live(&mut self.base, &mut self.del);
+                Some(b)
+            }
+            (None, Some((&a, rest))) => {
+                self.add = rest;
+                Some(a)
+            }
+            (None, None) => None,
         }
-        while ai < add.len() && add[ai] < v {
-            out.push(add[ai]);
-            ai += 1;
-        }
-        out.push(v);
     }
-    out.extend_from_slice(&add[ai..]);
 }
 
 #[cfg(test)]
@@ -767,7 +826,7 @@ mod tests {
         assert!(!ov.has_resident_runs());
         assert_eq!(ov.merged_so_pairs(&base, 0), before);
         // The compacted partition carries ID-to-Position like the base.
-        let view = StoreView::with_delta(&base, &ov);
+        let view = StoreView::new(&base, Some(&ov));
         match view.replica(0, SortOrder::SO).unwrap() {
             ReplicaView::Clean(rep) => assert!(rep.idpos().is_some()),
             ReplicaView::Dirty { .. } => panic!("compacted pred must be clean"),
@@ -787,7 +846,7 @@ mod tests {
         let new_pred = base.num_predicates() as Id;
         let r = ov.apply_pred(&base, new_pred, &[(1, 2)], &[]);
         assert_eq!(r.inserted, 1);
-        let view = StoreView::with_delta(&base, &ov);
+        let view = StoreView::new(&base, Some(&ov));
         let rep = view.replica(new_pred, SortOrder::SO).unwrap();
         assert!(rep.contains_pair(1, 2));
         assert_eq!(rep.merged_keys(), vec![1]);
@@ -801,7 +860,7 @@ mod tests {
         let mut ov = DeltaOverlay::new(&base);
         let (s2, o2) = (rid(&base, "s2"), rid(&base, "o2"));
         ov.apply_pred(&base, 0, &[(s2, o2)], &[]);
-        let view = StoreView::with_delta(&base, &ov);
+        let view = StoreView::new(&base, Some(&ov));
         let so = view.replica(0, SortOrder::SO).unwrap();
         let mut vals = Vec::new();
         so.merged_values_into(s2, &mut vals);
@@ -861,7 +920,7 @@ mod tests {
             ov.apply_pred(base, 0, &[], &batch_del);
             assert_eq!(ov.check_invariants(base), Ok(()));
             let dirty = ov.merged_so_pairs(base, 0);
-            let view = StoreView::with_delta(base, &ov);
+            let view = StoreView::new(base, Some(&ov));
             let rep = view.replica(0, SortOrder::SO).unwrap();
             let mut probe = Vec::new();
             rep.merged_values_into(1, &mut probe);
@@ -879,35 +938,52 @@ mod tests {
         assert!(comp.replica(SortOrder::SO).is_compressed());
     }
 
+    /// Reference merge over plain slices: `(base \ del) ∪ add`, sorted.
+    fn merge_reference(base: &[Id], add: &[Id], del: &[Id]) -> Vec<Id> {
+        let mut out: Vec<Id> =
+            base.iter().copied().filter(|v| !del.contains(v)).chain(add.iter().copied()).collect();
+        out.sort_unstable();
+        out
+    }
+
     #[test]
-    fn merge_group_matches_merge_values() {
+    fn merged_group_over_packed_base_matches_reference() {
         let base: Vec<Id> = (0..500).map(|i| i * 3).collect();
         let add = vec![1, 4, 2000];
         let del = vec![0, 300, 1497];
         let offsets = vec![0, base.len() as u32];
         let packed = crate::codec::PackedValues::pack(&offsets, &base);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        merge_values_into(&base, &add, &del, &mut a);
-        merge_group_into(
-            crate::Group::Packed(packed.run(0, &offsets)),
-            &add,
-            &del,
-            &mut b,
-        );
-        assert_eq!(a, b);
+        let expect = merge_reference(&base, &add, &del);
+        for g in [Group::Raw(&base), Group::Packed(packed.run(0, &offsets))] {
+            let merged = MergedGroup { base: g, add: &add, del: &del };
+            assert_eq!(merged.iter().collect::<Vec<_>>(), expect);
+            assert_eq!(merged.len(), expect.len());
+            for v in 0..2100 {
+                assert_eq!(merged.contains(v), expect.binary_search(&v).is_ok(), "value {v}");
+            }
+        }
     }
 
     #[test]
-    fn merge_values_handles_interleaving() {
-        let mut out = Vec::new();
-        merge_values_into(&[2, 4, 6], &[1, 5, 9], &[4], &mut out);
-        assert_eq!(out, vec![1, 2, 5, 6, 9]);
-        out.clear();
-        merge_values_into(&[], &[3], &[], &mut out);
-        assert_eq!(out, vec![3]);
-        out.clear();
-        merge_values_into(&[3], &[], &[3], &mut out);
-        assert!(out.is_empty());
+    fn merged_group_handles_interleaving_and_empties() {
+        let cases: [(&[Id], &[Id], &[Id]); 4] = [
+            (&[2, 4, 6], &[1, 5, 9], &[4]),
+            (&[], &[3], &[]),
+            (&[3], &[], &[3]),
+            (&[], &[], &[]),
+        ];
+        for (base, add, del) in cases {
+            let merged = MergedGroup { base: Group::Raw(base), add, del };
+            let expect = merge_reference(base, add, del);
+            assert_eq!(merged.iter().collect::<Vec<_>>(), expect);
+            assert_eq!(merged.is_empty(), expect.is_empty());
+        }
+        // A fully tombstoned base is empty; each run searched is counted.
+        let merged = MergedGroup { base: Group::Raw(&[3]), add: &[], del: &[3] };
+        assert_eq!(merged.probe(3), (false, 1));
+        assert_eq!(merged.probe(4), (false, 2));
+        let merged = MergedGroup { base: Group::Raw(&[2, 4]), add: &[3], del: &[] };
+        assert_eq!(merged.probe(2), (true, 1));
+        assert_eq!(merged.probe(3), (true, 2));
     }
 }

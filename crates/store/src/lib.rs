@@ -66,8 +66,7 @@ mod store;
 
 pub use codec::{simd_active, PackedValues, UnitFrames, WalkCursor, BLOCK_LEN};
 pub use delta::{
-    merge_group_into, merge_values_into, sorted_contains, DeltaOverlay, PredApply,
-    PredDelta, ReplicaView, StoreView,
+    DeltaOverlay, MergedGroup, MergedIter, PredApply, PredDelta, ReplicaView, StoreView,
 };
 pub use idpos::IdPosIndex;
 pub use partition::Partition;

@@ -362,8 +362,8 @@ pub fn check_no_raw_sync(rel: &Path, s: &Stripped, out: &mut Vec<Violation>) {
 
 /// Join hot-path files: per-row code where a panic would tear down a
 /// worker instead of producing an `ExecFailure`. The delta store's
-/// merge iterators qualify since PR 8: `_view` executor variants probe
-/// through them on every morsel.
+/// merged groups qualify: the executor probes dirty predicates through
+/// them on every morsel.
 const HOT_PATH: [&str; 4] = [
     "crates/join/src/exec.rs",
     "crates/join/src/search.rs",
@@ -750,7 +750,7 @@ mod tests {
 
         // Integration tests under tests/ are exempt.
         let test_file = check_file(
-            Path::new("crates/core/tests/shim_equivalence.rs"),
+            Path::new("crates/core/tests/parallel_load.rs"),
             "use std::sync::Arc;",
         );
         assert!(test_file.is_empty(), "{test_file:?}");
@@ -788,8 +788,8 @@ mod tests {
         );
         assert!(other.is_empty(), "{other:?}");
 
-        // The delta merge iterators are hot path since the executor's
-        // `_view` variants probe through them per morsel.
+        // The delta merge iterators are hot path: the executor probes
+        // dirty predicates through them per morsel.
         let delta = check_file(
             Path::new("crates/store/src/delta.rs"),
             "fn f(x: Option<u32>) -> u32 { x.expect(\"present\") }",

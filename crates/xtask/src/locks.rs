@@ -409,7 +409,7 @@ mod tests {
         );
         assert!(test_code.is_empty(), "{test_code:?}");
         let integration = check_file(
-            Path::new("crates/core/tests/shim_equivalence.rs"),
+            Path::new("crates/core/tests/parallel_load.rs"),
             "static M: std::sync::Mutex<u32> = std::sync::Mutex::new(0);",
             &levels(),
         );
